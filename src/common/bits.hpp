@@ -11,8 +11,11 @@ constexpr bool IsPowerOfTwo(std::uint64_t v) noexcept {
   return v != 0 && (v & (v - 1)) == 0;
 }
 
-// Smallest power of two >= v (v = 0 maps to 1).
+// Smallest power of two >= v (v = 0 maps to 1). Total: for v above 2^63
+// no such power fits in 64 bits and the result is 0, which no caller can
+// mistake for a size (std::bit_ceil alone is undefined there).
 constexpr std::uint64_t NextPowerOfTwo(std::uint64_t v) noexcept {
+  if (v > (std::uint64_t{1} << 63)) return 0;
   return std::bit_ceil(v == 0 ? std::uint64_t{1} : v);
 }
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -133,6 +134,15 @@ Result<IdReq> DecodeRegister(Reader& req) {
   // "normal in cloud environments, where users buy instances with specific
   // resources").
   return DecodeId(req);
+}
+
+Status ValidateRegister(HandlerContext& ctx, const IdReq& req) {
+  // The size is tenant-controlled: reject what no device of the fleet could
+  // ever hold before it reaches the allocator's power-of-two rounding.
+  for (std::uint32_t d = 0; d < ctx.exec.device_count(); ++d)
+    if (req.id <= ctx.exec.device(d).partitions.device_bytes())
+      return OkStatus();
+  return OutOfMemory("partition larger than any device's memory");
 }
 
 Result<Writer> ExecuteRegister(HandlerContext& ctx, IdReq& req) {
@@ -289,12 +299,15 @@ GpuTicket EnqueueCopyOp(HandlerContext& ctx, GpuStream& stream,
 
 struct MemcpyH2DReq {
   std::uint64_t dst = 0;
-  ipc::Bytes payload;
+  // In place in the request buffer: the handler waits for the copy, so the
+  // request outlives every read of the payload, and a bulk upload is not
+  // copied again between leaving the ring and landing in device memory.
+  std::span<const std::uint8_t> payload;
 };
 Result<MemcpyH2DReq> DecodeMemcpyH2D(Reader& req) {
   MemcpyH2DReq out;
   GRD_ASSIGN_OR_RETURN(out.dst, req.Get<std::uint64_t>());
-  GRD_ASSIGN_OR_RETURN(out.payload, req.GetBlob());
+  GRD_ASSIGN_OR_RETURN(out.payload, req.GetBlobView());
   return out;
 }
 Status ValidateMemcpyH2D(HandlerContext& ctx, const MemcpyH2DReq& req) {
@@ -305,10 +318,10 @@ Result<Writer> ExecuteMemcpyH2D(HandlerContext& ctx, MemcpyH2DReq& req) {
   // (legacy default stream), enqueued on stream 0, completion awaited.
   GRD_RETURN_IF_ERROR(SyncOtherStreams(ctx));
   const std::uint64_t dst = req.dst;
+  const std::span<const std::uint8_t> payload = req.payload;
   auto ticket = EnqueueCopyOp(
-      ctx, *StreamOf(ctx, 0), req.payload.size(),
-      [dst, payload = std::move(req.payload)](
-          simgpu::GlobalMemory& memory) -> Status {
+      ctx, *StreamOf(ctx, 0), payload.size(),
+      [dst, payload](simgpu::GlobalMemory& memory) -> Status {
         return memory.Write(dst, payload.data(), payload.size());
       });
   GRD_RETURN_IF_ERROR(Dev(ctx).scheduler.Wait(ticket));
@@ -335,7 +348,7 @@ Status ValidateMemcpyH2DAsync(HandlerContext& ctx,
 }
 Result<Writer> ExecuteMemcpyH2DAsync(HandlerContext& ctx,
                                      MemcpyH2DAsyncReq& req) {
-  // The payload already lives in manager memory (it crossed the ring), so
+  // The payload is an owned copy (GetBlob), not a view of the request, so
   // the copy can complete after this RPC returns — true async semantics.
   const std::uint64_t dst = req.dst;
   EnqueueCopyOp(ctx, *StreamOf(ctx, req.stream), req.payload.size(),
@@ -1440,7 +1453,7 @@ void RegisterBuiltinHandlers(Dispatcher& d) {
   const auto sessionless = SessionPolicy::kNotRequired;
 
   d.Register<IdReq>(Op::kRegisterClient, "RegisterClient", sessionless,
-                    DecodeRegister, nullptr, ExecuteRegister);
+                    DecodeRegister, ValidateRegister, ExecuteRegister);
   d.Register<NoPayload>(Op::kDisconnect, "Disconnect", session, DecodeNone,
                         nullptr, ExecuteDisconnect);
 

@@ -18,6 +18,10 @@ Result<PartitionBounds> PartitionAllocator::CreatePartition(
     std::uint64_t requested_bytes) {
   if (requested_bytes == 0)
     return Status(InvalidArgument("partition size must be positive"));
+  // The request is tenant-controlled: above the device size, rounding up
+  // (and the headroom shift below) could overflow.
+  if (requested_bytes > device_bytes_)
+    return Status(OutOfMemory("partition larger than device memory"));
   const std::uint64_t size = NextPowerOfTwo(requested_bytes);
   // Align to the partition size so (addr & ~(size-1)) == base for every
   // in-partition address — the precondition of the Figure 4 mask trick.

@@ -115,102 +115,47 @@ void ProcessServer::WorkerMain(std::uint32_t index) {
 
     // Sticky claims: CAS our preferred channels; a channel claimed once is
     // pumped by this worker until it dies (the supervisor releases claims).
-    std::vector<std::unique_ptr<ipc::Channel>> owned;
-    std::vector<std::uint32_t> owned_index;
+    // One pump thread per claimed channel: each sleeps on its own request
+    // doorbell and runs its own tenant's handlers, so a tenant blocked in a
+    // synchronous call (scheduler.Wait) or a stalled reader holds up only
+    // its own thread, never its co-tenants.
+    std::vector<std::thread> pumps;
     for (std::uint32_t i = 0; i < options_.channels; ++i) {
       if (state_->channel_slot(i).preferred.load(std::memory_order_acquire) !=
           index)
         continue;
       if (!state_->ClaimChannel(i, index)) continue;
-      owned.push_back(std::make_unique<ipc::Channel>(
-          state_->channel_region(i), options_.layout.ring_bytes,
-          /*initialize=*/false));
-      owned_index.push_back(i);
+      pumps.emplace_back([this, &manager, i] { PumpChannel(manager, i); });
     }
-
-    // Per-channel parked response: when a tenant stops draining its
-    // response ring (stalled reader), its response is parked and ONLY that
-    // channel skips new requests until the ring drains — one slow tenant
-    // cannot wedge the worker and starve its co-resident channels.
-    IdleBackoff backoff;
-    std::vector<ipc::Bytes> parked(owned.size());
-    std::size_t doorbell_rotor = 0;
-    const auto kResponsePark = std::chrono::milliseconds(2);
-    while (!state_->StopRequested()) {
-      std::size_t served = 0;
-      for (std::size_t c = 0; c < owned.size(); ++c) {
-        if (!parked[c].empty()) {
-          manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
-          if (!owned[c]->response().TryWrite(parked[c]).ok()) {
-            manager.NoteRingWriteAborted();
-            continue;
-          }
-          parked[c].clear();
-          ++served;
-        }
-        auto request = owned[c]->request().TryRead();
-        if (!request.ok()) {
-          if (request.status().code() == StatusCode::kAborted) {
-            // Torn/garbage frame: the ring already repaired itself (head
-            // clamped to tail, frames_corrupt bumped). Fail fast for the
-            // client blocked on the consumed slot; the ring — and every
-            // other session — keeps going.
-            const ipc::Bytes error = protocol::EncodeError(Status(Aborted(
-                "corrupt request frame discarded; ring resynchronized")));
-            manager.NoteRingWritten();
-            if (!owned[c]->response().TryWrite(error).ok())
-              manager.NoteRingWriteAborted();
-            ++served;
-          }
-          continue;
-        }
-        ++served;
-        manager.NoteRingRead();
-        {
-          // Serving-policy hint mirrored into the region (threaded twin:
-          // ManagerServer::Entry::last_client).
-          ipc::Reader peek(*request);
-          auto header = protocol::ReadHeader(peek);
-          if (header.ok() && header->client != 0)
-            state_->channel_slot(owned_index[c])
-                .last_client.store(header->client, std::memory_order_relaxed);
-        }
-        const ipc::Bytes response = manager.HandleRequest(*request);
-        manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
-        Status wrote = owned[c]->response().TryWrite(response);
-        if (!wrote.ok() && wrote.code() == StatusCode::kNotFound)
-          wrote = owned[c]->response().WriteWithDeadline(response,
-                                                         kResponsePark);
-        if (!wrote.ok()) {
-          manager.NoteRingWriteAborted();
-          if (wrote.code() == StatusCode::kDeadlineExceeded)
-            parked[c] = response;  // stalled tenant; retried next sweeps
-          else
-            manager.NoteDroppedResponse();
-        }
-      }
-      if (served > 0) {
-        backoff.Reset();
-        continue;
-      }
-      // Idle: block on a request-ring doorbell (rotating through owned
-      // channels) instead of spinning; the 500µs bound keeps the worker
-      // responsive to channels other than the one it waits on, to stop
-      // requests, and on platforms without the futex doorbell the wait
-      // returns immediately and the portable backoff paces the loop.
-      if (ipc::ShmRing::kFutexDoorbell && !owned.empty()) {
-        if (owned[doorbell_rotor++ % owned.size()]->request().WaitForMessage(
-                std::chrono::microseconds(500)))
-          backoff.Reset();  // a message (or close) arrived: sweep right away
-        // On timeout the wait itself paced the loop; no extra sleep.
-      } else {
-        backoff.Pause();
-      }
-    }
+    for (std::thread& pump : pumps) pump.join();
+    // A worker that claimed no channel idles until the pool stops.
+    while (!state_->StopRequested()) SleepMicros(1000);
   }
   // Clean shutdown: scheduler joined and manager destroyed above; leave the
   // shared claims in place for the parent's teardown accounting.
   ::_exit(0);
+}
+
+void ProcessServer::PumpChannel(GrdManager& manager, std::uint32_t channel) {
+  ipc::Channel rings(state_->channel_region(channel),
+                     options_.layout.ring_bytes, /*initialize=*/false);
+  std::atomic<std::uint64_t>& last_client =
+      state_->channel_slot(channel).last_client;
+  // The response a stalled reader has not drained yet (see
+  // ServeChannelStep); while it is parked this thread consumes nothing new.
+  ipc::Bytes parked;
+  // Bounds every idle wait so the thread notices the stop flag.
+  constexpr auto kIdleWait = std::chrono::milliseconds(5);
+  while (!state_->StopRequested()) {
+    if (ServeChannelStep(manager, rings, parked, last_client)) continue;
+    // Nothing to serve. A parked response or a closed request ring cannot
+    // be woken by the request doorbell, so those poll in slices; otherwise
+    // the thread sleeps until the tenant publishes its next request.
+    if (!parked.empty() || rings.request().closed())
+      SleepMicros(200);
+    else
+      rings.request().WaitForMessage(kIdleWait);
+  }
 }
 
 bool ProcessServer::WaitForChannelOwners(std::int64_t timeout_ms) {

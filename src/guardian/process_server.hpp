@@ -19,9 +19,15 @@
 //  - Worker (forked child): constructs its own simulated GPU + GrdManager
 //    bound to the shared state (pool-unique client ids, shared bounds,
 //    shared ManagerStats), sticky-claims its preferred channels by CAS, and
-//    pumps them round-robin with the transport's idle backoff until the
-//    shared stop flag rises. A worker crash takes down only the sessions it
-//    owned: claims are sticky, so no other worker ever held state for them.
+//    runs one pump thread per claimed channel until the shared stop flag
+//    rises. Each pump thread sleeps on its own request ring's futex
+//    doorbell, so a request is picked up when it is published, and runs
+//    its own tenant's handlers (transport.hpp's ServeChannelStep), so a
+//    tenant blocked in a synchronous call, or a stalled reader whose
+//    response is parked, holds up only its own thread. The thread count is
+//    bounded by SharedServingLayout::max_channels. A worker crash takes
+//    down only the sessions it owned: claims are sticky, so no other worker
+//    ever held state for them.
 //
 // Crash-containment contract (proven by tests/process_mode_test.cpp and
 // tests/adoption_test.cpp):
@@ -50,6 +56,8 @@
 #include "simgpu/device_spec.hpp"
 
 namespace grd::guardian {
+
+class GrdManager;
 
 struct ProcessServerOptions {
   std::uint32_t workers = 2;
@@ -112,6 +120,9 @@ class ProcessServer {
   Status SpawnWorker(std::uint32_t index);
   // The child body; never returns.
   [[noreturn]] void WorkerMain(std::uint32_t index);
+  // One worker pump thread: serves shared channel `channel` until the pool
+  // stops.
+  void PumpChannel(GrdManager& manager, std::uint32_t channel);
   void SuperviseLoop();
   // Crash repair for a reaped worker (see file comment); `respawn` gates
   // step 4.

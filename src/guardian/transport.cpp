@@ -22,20 +22,22 @@ void ManagerServer::AddChannel(ipc::Channel* channel, double weight,
                    });
 }
 
-bool ManagerServer::ServeOne(Entry& entry) {
-  if (!entry.parked.empty()) {
+bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
+                      ipc::Bytes& parked,
+                      std::atomic<std::uint64_t>& last_client) {
+  if (!parked.empty()) {
     // A previous response is still waiting for this (stalled) client to
     // drain its ring; deliver it before consuming anything new so strict
     // request/response pairing holds.
-    manager_->NoteRingWritten();  // count-then-publish (see manager.hpp)
-    if (!entry.channel->response().TryWrite(entry.parked).ok()) {
-      manager_->NoteRingWriteAborted();
+    manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
+    if (!channel.response().TryWrite(parked).ok()) {
+      manager.NoteRingWriteAborted();
       return false;
     }
-    entry.parked.clear();
+    parked.clear();
     return true;
   }
-  auto request = entry.channel->request().TryRead();
+  auto request = channel.request().TryRead();
   if (!request.ok()) {
     if (request.status().code() == StatusCode::kAborted) {
       // Torn/garbage frame: the ring repaired itself (head clamped to tail,
@@ -43,14 +45,14 @@ bool ManagerServer::ServeOne(Entry& entry) {
       // the ring stays usable for whatever the client sends next.
       const ipc::Bytes error = protocol::EncodeError(Status(
           Aborted("corrupt request frame discarded; ring resynchronized")));
-      manager_->NoteRingWritten();
-      if (!entry.channel->response().TryWrite(error).ok())
-        manager_->NoteRingWriteAborted();
+      manager.NoteRingWritten();
+      if (!channel.response().TryWrite(error).ok())
+        manager.NoteRingWriteAborted();
       return true;
     }
     return false;
   }
-  manager_->NoteRingRead();
+  manager.NoteRingRead();
   {
     // Remember which session this channel carries so the session-priority
     // sweep can rank it by that tenant's class (cheap header peek; a
@@ -58,26 +60,31 @@ bool ManagerServer::ServeOne(Entry& entry) {
     ipc::Reader peek(*request);
     auto header = protocol::ReadHeader(peek);
     if (header.ok() && header->client != 0)
-      entry.last_client.store(header->client, std::memory_order_relaxed);
+      last_client.store(header->client, std::memory_order_relaxed);
   }
-  const ipc::Bytes response = manager_->HandleRequest(*request);
-  manager_->NoteRingWritten();  // count-then-publish (see manager.hpp)
-  Status written = entry.channel->response().TryWrite(response);
+  ipc::Bytes response = manager.HandleRequest(*request);
+  manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
+  Status written = channel.response().TryWrite(response);
   if (!written.ok() && written.code() == StatusCode::kNotFound)
-    written = entry.channel->response().WriteWithDeadline(
+    written = channel.response().WriteWithDeadline(
         response, std::chrono::milliseconds(2));
-  if (!written.ok()) manager_->NoteRingWriteAborted();
+  if (!written.ok()) manager.NoteRingWriteAborted();
   if (written.code() == StatusCode::kDeadlineExceeded) {
-    entry.parked = response;  // stalled tenant; retried on later sweeps
+    parked = std::move(response);  // stalled tenant; re-offered next step
   } else if (!written.ok()) {
     // The client vanished mid-call. The work is done and cannot be undone;
     // account for the undeliverable response instead of dropping silently.
-    manager_->NoteDroppedResponse();
+    manager.NoteDroppedResponse();
     GRD_LOG_WARN("ManagerServer")
         << "dropped response for vanished client channel: "
         << written.ToString();
   }
   return true;
+}
+
+bool ManagerServer::ServeOne(Entry& entry) {
+  return ServeChannelStep(*manager_, *entry.channel, entry.parked,
+                          entry.last_client);
 }
 
 std::size_t ManagerServer::SweepRoundRobin() {

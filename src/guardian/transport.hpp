@@ -17,9 +17,12 @@
 // preserved while different tenants' requests overlap.
 //
 // The fork-based sibling of this worker pool is ProcessServer
-// (process_server.hpp): N forked manager worker processes pumping rings
-// against the SharedRegion session registry with sticky cross-process
-// channel claims, supervised (reaped/repaired/respawned) by the parent.
+// (process_server.hpp): N forked manager worker processes against the
+// SharedRegion session registry with sticky cross-process channel claims,
+// supervised (reaped/repaired/respawned) by the parent. Each worker runs one
+// pump thread per channel it owns. Both servers run the same per-request
+// step, ServeChannelStep; they differ only in how a thread finds its next
+// channel (a sweep policy here, a dedicated doorbell there).
 #pragma once
 
 #include <algorithm>
@@ -142,6 +145,29 @@ class IdleBackoff {
   std::uint32_t idle_rounds_ = 0;
   std::uint64_t sleep_us_ = 0;
 };
+
+// One serve step on one channel: the per-request contract of both ring
+// pumps (ManagerServer's sweeps and each ProcessServer worker's per-channel
+// pump threads), written once:
+//  1. a parked response (stalled reader) is re-offered first, and nothing
+//     new is consumed until it is delivered, so request/response pairing
+//     holds;
+//  2. one request is read; a torn/garbage frame (the ring already
+//     resynchronized itself) is answered with kAborted so the blocked
+//     client fails fast;
+//  3. GrdManager::HandleRequest;
+//  4. count-then-publish: ManagerStats::ring_messages_written is bumped
+//     BEFORE the response is published and taken back when the publish
+//     fails, so nobody unblocked by the response can observe the shared
+//     counter lagging the ring's own;
+//  5. a bounded (2 ms) write; a reader still stalled after that gets its
+//     response parked in `parked`, a vanished one counts as dropped.
+// Returns true when the step made progress. The caller must be the
+// channel's only server while the step runs; `last_client` receives the
+// client id of the request's header (the session-priority hint).
+bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
+                      ipc::Bytes& parked,
+                      std::atomic<std::uint64_t>& last_client);
 
 // Serves client channels. Scheduling policies:
 //  - kRoundRobin   : one request per channel per sweep (paper default);

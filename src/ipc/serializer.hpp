@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ class Reader {
   template <typename T>
   Result<T> Get() {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > size_)
+    if (sizeof(T) > size_ - pos_)
       return Status(OutOfRange("message truncated"));
     T value;
     std::memcpy(&value, data_ + pos_, sizeof(T));
@@ -64,18 +65,27 @@ class Reader {
 
   Result<std::string> GetString() {
     GRD_ASSIGN_OR_RETURN(std::uint32_t len, Get<std::uint32_t>());
-    if (pos_ + len > size_) return Status(OutOfRange("string truncated"));
+    if (len > size_ - pos_) return Status(OutOfRange("string truncated"));
     std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
     return s;
   }
 
   Result<Bytes> GetBlob() {
+    GRD_ASSIGN_OR_RETURN(std::span<const std::uint8_t> view, GetBlobView());
+    return Bytes(view.begin(), view.end());
+  }
+
+  // The next blob, in place: the span aliases the reader's buffer, so it is
+  // valid only while that buffer lives. The length prefix is untrusted; it
+  // is compared against what is left (never `pos_ + len`, which wraps for
+  // lengths near 2^64).
+  Result<std::span<const std::uint8_t>> GetBlobView() {
     GRD_ASSIGN_OR_RETURN(std::uint64_t len, Get<std::uint64_t>());
-    if (pos_ + len > size_) return Status(OutOfRange("blob truncated"));
-    Bytes blob(data_ + pos_, data_ + pos_ + len);
+    if (len > size_ - pos_) return Status(OutOfRange("blob truncated"));
+    const std::span<const std::uint8_t> view(data_ + pos_, len);
     pos_ += len;
-    return blob;
+    return view;
   }
 
   std::size_t remaining() const noexcept { return size_ - pos_; }

@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstring>
@@ -19,6 +20,14 @@ namespace {
 // "Guardian w/o protection" overhead, so the fast path must stay in
 // user space.
 constexpr int kSpinsBeforeYield = 256;
+
+// Length prefix of a rewind marker (see ShmRing::PublishFrame). No real
+// frame can carry it: ProbeSpace rejects messages that long.
+constexpr std::uint32_t kRewindMarker = 0xFFFFFFFFu;
+// A drained ring rewinds once its write offset reaches this many bytes
+// (or half the ring, whichever is smaller), so closed-loop traffic keeps
+// cycling through the first pages instead of touching the whole ring.
+constexpr std::uint64_t kRewindMinOffset = 64 * 1024;
 
 void Backoff(int& spins) {
   if (++spins < kSpinsBeforeYield) return;
@@ -114,7 +123,8 @@ void ShmRing::CopyOut(std::uint64_t pos, void* dst, std::uint64_t len) const {
 }
 
 Status ShmRing::ProbeSpace(std::uint64_t needed) {
-  if (needed > header_->capacity)
+  if (needed > header_->capacity ||
+      needed >= std::uint64_t{kRewindMarker} + sizeof(std::uint32_t))
     return InvalidArgument("message larger than ring capacity");
   if (header_->closed.load(std::memory_order_acquire))
     return Unavailable("ring closed");
@@ -162,11 +172,28 @@ void ShmRing::PublishFrame(const Bytes& message) {
   // the next producer, since tail was never advanced.
   header_->messages_written.fetch_add(1, std::memory_order_release);
   const std::uint64_t tail = header_->tail.load(std::memory_order_relaxed);
+  // Rewind: when the consumer has drained everything (head == tail; only
+  // this producer can move tail, so it stays drained until the store
+  // below) and the write offset is far enough in, skip to the next lap
+  // boundary behind a marker frame. Taking the skipped bytes as used needs
+  // offset >= frame to fit, and the cap/2 floor keeps a rewind from eating
+  // more than half of the ring's room. The marker and the frame publish
+  // with ONE tail store, and the marker is no message: neither counter
+  // sees it (crash repair diffs them).
+  const std::uint64_t cap = header_->capacity;
+  const std::uint64_t offset = tail % cap;
+  std::uint64_t start = tail;
+  if (offset >= std::max(frame, std::min(cap / 2, kRewindMinOffset)) &&
+      cap - offset >= sizeof(kRewindMarker) &&
+      header_->head.load(std::memory_order_acquire) == tail) {
+    CopyIn(tail, &kRewindMarker, sizeof(kRewindMarker));
+    start = tail - offset + cap;
+  }
   const auto len = static_cast<std::uint32_t>(message.size());
-  CopyIn(tail, &len, sizeof(len));
+  CopyIn(start, &len, sizeof(len));
   if (!message.empty())
-    CopyIn(tail + sizeof(len), message.data(), message.size());
-  header_->tail.store(tail + frame, std::memory_order_release);
+    CopyIn(start + sizeof(len), message.data(), message.size());
+  header_->tail.store(start + frame, std::memory_order_release);
   WakeDoorbell();
 }
 
@@ -225,7 +252,7 @@ Status ShmRing::InjectRaw(const void* bytes, std::uint64_t len) {
 }
 
 Result<Bytes> ShmRing::TryRead() {
-  const std::uint64_t head = header_->head.load(std::memory_order_relaxed);
+  std::uint64_t head = header_->head.load(std::memory_order_relaxed);
   const std::uint64_t tail = header_->tail.load(std::memory_order_acquire);
   if (tail == head) {
     if (header_->closed.load(std::memory_order_acquire))
@@ -237,12 +264,26 @@ Result<Bytes> ShmRing::TryRead() {
   // published [head, tail) window. An impossible frame means the producer
   // side tore or forged a write; the buffered bytes have no recoverable
   // message boundaries, so discard them all and surface kAborted once.
-  const std::uint64_t avail = tail - head;
+  // A rewind marker (PublishFrame) is a frame too: it is accepted only when
+  // the lap boundary it points at lies inside the published window, past
+  // the marker itself; the frame there is then validated like any other.
+  std::uint64_t avail = tail - head;
   std::uint32_t len = 0;
   bool corrupt = avail < sizeof(len);
   if (!corrupt) {
     CopyOut(head, &len, sizeof(len));
-    corrupt = len > header_->capacity || sizeof(len) + len > avail;
+    if (len == kRewindMarker) {
+      const std::uint64_t cap = header_->capacity;
+      const std::uint64_t lap = head - head % cap + cap;
+      corrupt = lap - head < sizeof(len) || lap >= tail;
+      if (!corrupt) {
+        head = lap;
+        avail = tail - head;
+        corrupt = avail < sizeof(len);
+        if (!corrupt) CopyOut(head, &len, sizeof(len));
+      }
+    }
+    corrupt = corrupt || len > header_->capacity || sizeof(len) + len > avail;
   }
   if (corrupt) {
     header_->frames_corrupt.fetch_add(1, std::memory_order_release);
@@ -292,7 +333,10 @@ bool ShmRing::WaitForMessage(std::chrono::nanoseconds timeout) {
   header_->waiters.fetch_sub(1, std::memory_order_release);
   return ready;
 #else
-  (void)timeout;
+  // No doorbell: pace the caller with one short sleep instead of letting
+  // it spin.
+  std::this_thread::sleep_for(std::min<std::chrono::nanoseconds>(
+      timeout, std::chrono::microseconds(100)));
   return false;
 #endif
 }

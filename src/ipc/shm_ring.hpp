@@ -28,6 +28,12 @@
 // clamped to tail), bumps `frames_corrupt` and surfaces kAborted — the
 // consumer's pump keeps serving its other channels and later VALID frames on
 // this ring still parse, instead of the reader walking off past tail forever.
+//
+// Rewind: a producer that finds the ring drained far enough into a lap
+// publishes a rewind marker (length 0xFFFFFFFF) and starts its frame at the
+// next lap boundary, so closed-loop traffic reuses the ring's first pages
+// instead of first-touching all of it. The marker is validated like any
+// frame and never counted as a message (see PublishFrame/TryRead).
 #pragma once
 
 #include <atomic>
@@ -43,8 +49,9 @@ class ShmRing {
  public:
   // True when the platform supports the futex doorbell (Linux: the futex
   // word is a dedicated 32-bit publish-sequence counter, see Header).
-  // Elsewhere WaitForMessage returns false immediately and callers fall
-  // back to their spin/yield/sleep backoff.
+  // Elsewhere WaitForMessage sleeps one short slice (at most 100 µs) and
+  // returns false; callers that poll hot fall back to their own
+  // spin/yield/sleep backoff.
 #if defined(__linux__)
   static constexpr bool kFutexDoorbell = true;
 #else
@@ -131,8 +138,8 @@ class ShmRing {
   // Futex doorbell (consumer side): block until the producer publishes a
   // new tail, the ring closes, or `timeout` elapses. Returns true when the
   // ring is worth polling again right now (data published or closed),
-  // false on timeout or when the platform has no doorbell — the caller
-  // decides how to back off. Never blocks when data is already buffered.
+  // false on timeout or when the platform has no doorbell (after a short
+  // sleep, see kFutexDoorbell). Never blocks when data is already buffered.
   bool WaitForMessage(std::chrono::nanoseconds timeout);
 
   // Chaos/testing hook: publishes `len` raw bytes at tail with NO framing —

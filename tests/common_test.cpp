@@ -70,6 +70,10 @@ TEST(Bits, PowerOfTwo) {
   EXPECT_EQ(NextPowerOfTwo(1), 1u);
   EXPECT_EQ(NextPowerOfTwo(17), 32u);
   EXPECT_EQ(NextPowerOfTwo(1u << 20), 1u << 20);
+  // Total over the whole domain: no 64-bit power of two reaches these.
+  EXPECT_EQ(NextPowerOfTwo(std::uint64_t{1} << 63), std::uint64_t{1} << 63);
+  EXPECT_EQ(NextPowerOfTwo((std::uint64_t{1} << 63) + 1), 0u);
+  EXPECT_EQ(NextPowerOfTwo(~std::uint64_t{0}), 0u);
 }
 
 TEST(Bits, Alignment) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "ipc/channel.hpp"
@@ -158,6 +159,123 @@ TEST(ShmRing, MessageCountersTrackWholePublishes) {
   // The crash-repair deficit a supervisor would compute: one consumed
   // message per matching response still owed.
   EXPECT_EQ(ring.messages_written() - ring.messages_read(), 1u);
+}
+
+// Writes then reads `message` once, checking it comes back intact.
+void RoundTrip(ShmRing& ring, const Bytes& message) {
+  ASSERT_TRUE(ring.Write(message).ok());
+  auto out = ring.TryRead();
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_EQ(*out, message);
+}
+
+TEST(ShmRing, ClosedLoopTrafficStaysInTheFirstPages) {
+  // A drained ring rewinds to its first byte (behind a marker frame) once
+  // the write offset reaches min(capacity / 2, 64 KiB), so request/response
+  // traffic of many times the capacity keeps reusing the same few pages
+  // instead of touching the whole mapping lap after lap.
+  constexpr std::uint64_t kCapacity = 1 << 20;
+  constexpr std::uint8_t kUntouched = 0xEE;
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(kCapacity),
+                                   kUntouched);
+  ShmRing ring(region.data(), kCapacity, /*initialize=*/true);
+  constexpr int kMessages = 20000;  // ~20 MiB through a 1 MiB ring
+  for (int i = 0; i < kMessages; ++i)
+    RoundTrip(ring, Bytes(1000, static_cast<std::uint8_t>(i)));
+  EXPECT_EQ(ring.messages_written(), static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(ring.messages_read(), static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(ring.frames_corrupt(), 0u);
+
+  // The last frame (or marker) a writer can start lies below 64 KiB; every
+  // byte past that frame's end was never written.
+  const std::uint64_t frame = sizeof(std::uint32_t) + 1000;
+  const std::uint64_t touched = (64 << 10) + frame;
+  const std::uint8_t* data = region.data() + sizeof(ShmRing::Header);
+  std::uint64_t written_past = 0;
+  for (std::uint64_t i = touched; i < kCapacity; ++i)
+    written_past += data[i] != kUntouched ? 1 : 0;
+  EXPECT_EQ(written_past, 0u);
+}
+
+TEST(ShmRing, CountersStayExactAcrossRewinds) {
+  // Crash repair diffs messages_written against messages_read, so the
+  // rewind marker must never count as a message on either side — including
+  // when the consumer lags and several frames queue up behind a marker.
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(4096));
+  ShmRing ring(region.data(), 4096, /*initialize=*/true);
+  auto* header = reinterpret_cast<ShmRing::Header*>(region.data());
+  std::uint64_t sent = 0;
+  std::uint64_t frame_bytes = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int burst = 1 + round % 4;
+    const std::size_t size = 40 + (round * 97) % 400;  // a burst fits
+    for (int k = 0; k < burst; ++k) {
+      Bytes message(size);
+      std::memcpy(message.data(), &sent, sizeof(sent));
+      ASSERT_TRUE(ring.TryWrite(message).ok()) << "round " << round;
+      ++sent;
+      frame_bytes += sizeof(std::uint32_t) + size;
+    }
+    for (int k = 0; k < burst; ++k) {
+      auto out = ring.TryRead();
+      ASSERT_TRUE(out.ok()) << out.status();
+      std::uint64_t seq = 0;
+      std::memcpy(&seq, out->data(), sizeof(seq));
+      ASSERT_EQ(seq, sent - burst + k);
+    }
+    EXPECT_EQ(ring.TryRead().status().code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(ring.messages_written(), sent);
+  EXPECT_EQ(ring.messages_read(), sent);
+  EXPECT_EQ(ring.frames_corrupt(), 0u);
+  // Rewinds did happen: the write index moved further than the frames.
+  EXPECT_GT(header->tail.load(), frame_bytes);
+}
+
+TEST(ShmRing, ForgedRewindMarkerIsContained) {
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(4096));
+  ShmRing ring(region.data(), 4096, /*initialize=*/true);
+  RoundTrip(ring, Bytes(100, 1));
+  const std::uint32_t marker = 0xFFFFFFFFu;
+
+  // A marker whose lap boundary lies past tail points at bytes nobody
+  // published: a corrupt frame, discarded and counted.
+  ASSERT_TRUE(ring.InjectRaw(&marker, sizeof(marker)).ok());
+  EXPECT_EQ(ring.TryRead().status().code(), StatusCode::kAborted);
+  EXPECT_EQ(ring.frames_corrupt(), 1u);
+  RoundTrip(ring, Bytes(100, 2));
+
+  // A marker whose lap boundary is published but holds no whole frame: the
+  // marker is accepted, the frame behind it is validated and rejected.
+  auto* header = reinterpret_cast<ShmRing::Header*>(region.data());
+  const std::uint64_t to_lap = 4096 - header->tail.load() % 4096;
+  Bytes forged(to_lap + 2, 0xAB);
+  std::memcpy(forged.data(), &marker, sizeof(marker));
+  ASSERT_TRUE(ring.InjectRaw(forged.data(), forged.size()).ok());
+  EXPECT_EQ(ring.TryRead().status().code(), StatusCode::kAborted);
+  EXPECT_EQ(ring.frames_corrupt(), 2u);
+
+  // The ring keeps serving valid frames afterwards.
+  RoundTrip(ring, Bytes(100, 3));
+  EXPECT_EQ(ring.TryRead().status().code(), StatusCode::kNotFound);
+}
+
+TEST(Serializer, ForgedBlobLengthsAreTruncationErrors) {
+  // Lengths near 2^64 used to wrap `pos + len` past the bounds check and
+  // build a blob from an inverted range.
+  for (const std::uint64_t forged :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - 7, std::uint64_t{0} - 16,
+        std::uint64_t{1} << 63, std::uint64_t{5}}) {
+    Writer writer;
+    writer.Put<std::uint64_t>(forged);
+    writer.Put<std::uint32_t>(0xCAFE);
+    Reader blob(writer.bytes());
+    EXPECT_EQ(blob.GetBlob().status().code(), StatusCode::kOutOfRange)
+        << forged;
+    Reader view(writer.bytes());
+    EXPECT_EQ(view.GetBlobView().status().code(), StatusCode::kOutOfRange)
+        << forged;
+  }
 }
 
 TEST(ShmRing, ReadWithDeadlineTimesOutOnEmptyRing) {

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -455,6 +456,74 @@ TEST(ProcessModeTest, NoRespawnStillFailsSessionsAndReleasesChannels) {
   ASSERT_TRUE(PollUntil(
       [&] { return (*server)->channel_owner(0) == kNoWorker; }, 5000));
   (*server)->Stop();
+}
+
+// A worker runs one pump thread per channel, so a tenant parked inside a
+// synchronous call holds up only its own channel. Tenant A's default-stream
+// launch never finishes (the spin kernel), so the test asserts ORDER, not
+// timing: tenant B, served by the same worker, completes whole workloads —
+// kernels included — while A's call is still outstanding. With one pump
+// thread per worker, B's first call would queue behind A's forever; B's
+// call deadline turns that into a failure instead of a hang.
+TEST(ProcessModeTest, BlockedTenantDoesNotStallItsCoTenantOnTheSameWorker) {
+  ProcessServerOptions options;
+  options.workers = 1;
+  options.channels = 2;
+  options.respawn = false;
+  options.layout.ring_bytes = 1 << 20;
+  options.manager.max_kernel_instructions = 1ull << 40;
+  auto server = ProcessServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  ASSERT_TRUE((*server)->WaitForChannelOwners());
+
+  ChannelTransport a_transport(&(*server)->channel(0));
+  ChannelTransport b_transport(&(*server)->channel(1), std::chrono::seconds(5));
+  auto a = GrdLib::Connect(&a_transport, 8 << 20);
+  auto b = GrdLib::Connect(&b_transport, 8 << 20);
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto module = a->cuModuleLoadData(kSpinTailPtx);
+  ASSERT_TRUE(module.ok());
+  auto spin = a->cuModuleGetFunction(*module, "spintail");
+  ASSERT_TRUE(spin.ok());
+  DevicePtr buf = 0;
+  ASSERT_TRUE(a->cudaMalloc(&buf, 4096).ok());
+
+  std::atomic<bool> a_returned{false};
+  Status a_status;
+  std::thread tenant_a([&] {
+    simcuda::LaunchConfig config;
+    config.grid = {4, 1, 1};
+    config.block = {1, 1, 1};
+    a_status = a->cudaLaunchKernel(*spin, config, {KernelArg::U64(buf)});
+    a_returned.store(true, std::memory_order_release);
+  });
+
+  // A's launch is consumed (request read, no response yet): its pump
+  // thread is now parked in the handler's wait on the endless kernel.
+  ipc::Channel& a_channel = (*server)->channel(0);
+  const bool a_parked = PollUntil(
+      [&] {
+        return a_channel.request().messages_read() >
+               a_channel.response().messages_written();
+      },
+      10'000);
+  constexpr int kRounds = 8;
+  int b_rounds = 0;
+  while (a_parked && b_rounds < kRounds && RunHonestWorkload(*b) == 0)
+    ++b_rounds;
+  const bool a_outstanding = !a_returned.load(std::memory_order_acquire);
+
+  // Release A: the only way out of its endless kernel is the worker's
+  // death, answered with the supervisor's synthetic kUnavailable.
+  ASSERT_EQ(kill((*server)->worker_pid(0), SIGKILL), 0);
+  tenant_a.join();
+  (*server)->Stop();
+
+  ASSERT_TRUE(a_parked) << "the worker never consumed tenant A's launch";
+  EXPECT_EQ(b_rounds, kRounds) << "tenant B stalled behind tenant A";
+  EXPECT_TRUE(a_outstanding) << "tenant A's endless launch returned early";
+  EXPECT_EQ(a_status.code(), StatusCode::kUnavailable);
 }
 
 TEST(ProcessModeTest, GrowPartitionPublishesBoundsToSharedSlot) {

@@ -117,6 +117,67 @@ TEST_F(RobustnessTest, TruncatedLaunchRequest) {
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);  // "message truncated"
 }
 
+TEST_F(RobustnessTest, ForgedBlobLengthsGetCleanErrors) {
+  // Blob length prefixes are tenant-controlled. Lengths near 2^64 used to
+  // wrap the reader's `pos + len` bounds check, so a forged synchronous
+  // H2D or kBatch sub-request built a payload from an inverted range.
+  auto lib = GrdLib::Connect(&transport_, 1 << 20);
+  ASSERT_TRUE(lib.ok());
+  DevicePtr dst = 0;
+  ASSERT_TRUE(lib->cudaMalloc(&dst, 4096).ok());
+
+  for (const protocol::Op op :
+       {protocol::Op::kMemcpyH2D, protocol::Op::kMemcpyH2DAsync,
+        protocol::Op::kBatch}) {
+    ipc::Writer prefix;
+    protocol::WriteHeader(prefix, op, lib->client_id());
+    if (op == protocol::Op::kBatch) {
+      prefix.Put<std::uint32_t>(1);  // one sub-request
+    } else {
+      prefix.Put<std::uint64_t>(dst);
+      if (op == protocol::Op::kMemcpyH2DAsync) prefix.Put<std::uint64_t>(0);
+    }
+    // Offset the reader reaches right after the length prefix: the forged
+    // length that wraps `pos + len` to exactly zero.
+    const std::uint64_t after_len =
+        prefix.bytes().size() + sizeof(std::uint64_t);
+    for (const std::uint64_t forged :
+         {~std::uint64_t{0}, std::uint64_t{0} - after_len,
+          std::uint64_t{0} - after_len + 3, std::uint64_t{1} << 63,
+          std::uint64_t{9}}) {
+      ipc::Bytes raw = prefix.bytes();
+      ipc::Writer tail;
+      tail.Put<std::uint64_t>(forged);
+      tail.Put<std::uint32_t>(0x5EED);  // 4 real payload bytes
+      raw.insert(raw.end(), tail.bytes().begin(), tail.bytes().end());
+      EXPECT_EQ(Send(std::move(raw)).code(), StatusCode::kOutOfRange)
+          << "op " << static_cast<int>(op) << " length " << forged;
+    }
+  }
+
+  // The manager keeps serving the same tenant.
+  std::uint32_t word = 7;
+  ASSERT_TRUE(lib->cudaMemcpyH2D(dst, &word, 4).ok());
+  std::uint32_t back = 0;
+  ASSERT_TRUE(lib->cudaMemcpy(&back, dst, 4, simcuda::MemcpyKind::kDeviceToHost)
+                  .ok());
+  EXPECT_EQ(back, 7u);
+}
+
+TEST_F(RobustnessTest, RegistrationLargerThanTheDeviceIsRejected) {
+  // The partition size is rounded up to a power of two; sizes past the
+  // device (up to 2^64 - 1, where rounding overflows) are refused cleanly.
+  for (const std::uint64_t size :
+       {gpu_.spec().global_mem_bytes + 1, (std::uint64_t{1} << 63) + 1,
+        ~std::uint64_t{0}}) {
+    auto lib = GrdLib::Connect(&transport_, size);
+    ASSERT_FALSE(lib.ok()) << size;
+    EXPECT_EQ(lib.status().code(), StatusCode::kOutOfMemory) << size;
+  }
+  auto lib = GrdLib::Connect(&transport_, 1 << 20);
+  EXPECT_TRUE(lib.ok());
+}
+
 TEST_F(RobustnessTest, LaunchClaimingHugeArgCount) {
   auto lib = GrdLib::Connect(&transport_, 1 << 20);
   ASSERT_TRUE(lib.ok());
