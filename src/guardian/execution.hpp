@@ -128,7 +128,7 @@ struct ManagerStats {
   std::atomic<std::uint64_t> transfers_rejected{0};
   std::atomic<std::uint64_t> faults_contained{0};
   // Responses the server could not deliver because the client's channel
-  // vanished (counted by ManagerServer::ServeOne, never silently dropped).
+  // vanished (counted by ServeChannelStep, never silently dropped).
   std::atomic<std::uint64_t> responses_dropped{0};
   // Sandbox cache effectiveness: modules actually run through the PTX
   // patcher vs. loads served from the content-addressed cache (§4.2.3 patch
@@ -184,11 +184,10 @@ struct ManagerStats {
   std::atomic<std::uint64_t> superinstructions_fused{0};
   std::atomic<std::uint64_t> tier_instructions[3] = {};
   // Shm-ring traffic served: requests consumed from / responses produced to
-  // client channels, counted by ManagerServer::ServeOne and the
-  // process-mode worker pump (including the supervisor's synthetic
-  // responses). Mirrors the per-ring ShmRing messages_read/messages_written
-  // words, aggregated pool-wide. Loopback transports never touch a ring, so
-  // both stay 0 there.
+  // client channels, counted by ServeChannelStep in either server
+  // (including the process-mode supervisor's synthetic responses). Mirrors
+  // the per-ring ShmRing messages_read/messages_written words, aggregated
+  // pool-wide. Loopback transports never touch a ring, so both stay 0 there.
   std::atomic<std::uint64_t> ring_messages_read{0};
   std::atomic<std::uint64_t> ring_messages_written{0};
   // Multi-device fleet: sessions rebuilt from their shared-region journal

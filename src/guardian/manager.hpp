@@ -12,7 +12,8 @@
 //    the sandboxed kernel in the pointerToSymbol map and appends the
 //    partition mask/base arguments (§4.2.3, Table 5);
 //  - executes calls from different clients on different streams (§4.2.4 —
-//    see ManagerServer in transport.hpp);
+//    each client channel has its own pump thread, see PumpChannel in
+//    transport.hpp);
 //  - contains device faults to the faulting client (the whole point).
 //
 // Since the layered refactor the class is a thin facade wiring three layers
@@ -20,8 +21,8 @@
 //   session   — SessionRegistry / ClientSession (session.hpp)
 //   dispatch  — typed handler registry (dispatch.hpp, handlers.cpp)
 //   execution — shared GPU/partition/bounds state (execution.hpp)
-// HandleRequest is thread-safe: the multi-worker ManagerServer calls it
-// concurrently from several workers.
+// HandleRequest is thread-safe: the ring pump calls it concurrently from one
+// thread per client channel.
 #pragma once
 
 #include <cstdint>
@@ -79,20 +80,14 @@ class GrdManager {
 
   // Transport-layer accounting: one shm-ring message consumed / produced on
   // behalf of this manager. Counted at the ring read/write sites themselves
-  // (ManagerServer sweeps and the process-mode worker pump) so the shared
-  // process-mode stats aggregate exactly, message by message. The write
-  // counter is bumped BEFORE the ring publish: a client that consumed a
-  // response (and whoever it then unblocks) must never observe the shared
-  // counter lagging the ring's own. A failed publish takes the bump back.
+  // (ServeChannelStep, in either server) so the shared process-mode stats
+  // aggregate exactly, message by message. The write counter is bumped
+  // BEFORE the ring publish: a client that consumed a response (and whoever
+  // it then unblocks) must never observe the shared counter lagging the
+  // ring's own. A failed publish takes the bump back.
   void NoteRingRead() noexcept { ++exec_.stats.ring_messages_read; }
   void NoteRingWritten() noexcept { ++exec_.stats.ring_messages_written; }
   void NoteRingWriteAborted() noexcept { --exec_.stats.ring_messages_written; }
-
-  // Session-scope priority class of `client` (kSetPriority scope 0), for the
-  // ManagerServer's session-priority channel scheduling: ring pumping and
-  // device admission share one notion of tenant priority. Unknown or
-  // unregistered clients rank kNormal.
-  protocol::PriorityClass SessionPriority(ClientId client) const;
 
   // Device memory the sharing layer itself consumes: exactly one context
   // regardless of client count (§2.2: 176 MB vs MPS's per-client growth).

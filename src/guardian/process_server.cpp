@@ -115,17 +115,22 @@ void ProcessServer::WorkerMain(std::uint32_t index) {
 
     // Sticky claims: CAS our preferred channels; a channel claimed once is
     // pumped by this worker until it dies (the supervisor releases claims).
-    // One pump thread per claimed channel: each sleeps on its own request
-    // doorbell and runs its own tenant's handlers, so a tenant blocked in a
-    // synchronous call (scheduler.Wait) or a stalled reader holds up only
-    // its own thread, never its co-tenants.
+    // One pump thread per claimed channel (transport.hpp's PumpChannel):
+    // each sleeps on its own request doorbell and runs its own tenant's
+    // handlers, so a tenant blocked in a synchronous call (scheduler.Wait)
+    // or a stalled reader holds up only its own thread, never its
+    // co-tenants.
     std::vector<std::thread> pumps;
     for (std::uint32_t i = 0; i < options_.channels; ++i) {
       if (state_->channel_slot(i).preferred.load(std::memory_order_acquire) !=
           index)
         continue;
       if (!state_->ClaimChannel(i, index)) continue;
-      pumps.emplace_back([this, &manager, i] { PumpChannel(manager, i); });
+      pumps.emplace_back([this, &manager, i] {
+        ipc::Channel rings(state_->channel_region(i),
+                           options_.layout.ring_bytes, /*initialize=*/false);
+        PumpChannel(manager, rings, state_->stop_flag());
+      });
     }
     for (std::thread& pump : pumps) pump.join();
     // A worker that claimed no channel idles until the pool stops.
@@ -134,28 +139,6 @@ void ProcessServer::WorkerMain(std::uint32_t index) {
   // Clean shutdown: scheduler joined and manager destroyed above; leave the
   // shared claims in place for the parent's teardown accounting.
   ::_exit(0);
-}
-
-void ProcessServer::PumpChannel(GrdManager& manager, std::uint32_t channel) {
-  ipc::Channel rings(state_->channel_region(channel),
-                     options_.layout.ring_bytes, /*initialize=*/false);
-  std::atomic<std::uint64_t>& last_client =
-      state_->channel_slot(channel).last_client;
-  // The response a stalled reader has not drained yet (see
-  // ServeChannelStep); while it is parked this thread consumes nothing new.
-  ipc::Bytes parked;
-  // Bounds every idle wait so the thread notices the stop flag.
-  constexpr auto kIdleWait = std::chrono::milliseconds(5);
-  while (!state_->StopRequested()) {
-    if (ServeChannelStep(manager, rings, parked, last_client)) continue;
-    // Nothing to serve. A parked response or a closed request ring cannot
-    // be woken by the request doorbell, so those poll in slices; otherwise
-    // the thread sleeps until the tenant publishes its next request.
-    if (!parked.empty() || rings.request().closed())
-      SleepMicros(200);
-    else
-      rings.request().WaitForMessage(kIdleWait);
-  }
 }
 
 bool ProcessServer::WaitForChannelOwners(std::int64_t timeout_ms) {

@@ -20,14 +20,15 @@
 //    bound to the shared state (pool-unique client ids, shared bounds,
 //    shared ManagerStats), sticky-claims its preferred channels by CAS, and
 //    runs one pump thread per claimed channel until the shared stop flag
-//    rises. Each pump thread sleeps on its own request ring's futex
+//    rises. The pump is the one ManagerServer runs too (transport.hpp's
+//    PumpChannel): each thread sleeps on its own request ring's futex
 //    doorbell, so a request is picked up when it is published, and runs
-//    its own tenant's handlers (transport.hpp's ServeChannelStep), so a
-//    tenant blocked in a synchronous call, or a stalled reader whose
-//    response is parked, holds up only its own thread. The thread count is
-//    bounded by SharedServingLayout::max_channels. A worker crash takes
-//    down only the sessions it owned: claims are sticky, so no other worker
-//    ever held state for them.
+//    its own tenant's handlers, so a tenant blocked in a synchronous call,
+//    or a stalled reader whose response is parked, holds up only its own
+//    thread. The thread count is bounded by
+//    SharedServingLayout::max_channels. A worker crash takes down only the
+//    sessions it owned: claims are sticky, so no other worker ever held
+//    state for them.
 //
 // Crash-containment contract (proven by tests/process_mode_test.cpp and
 // tests/adoption_test.cpp):
@@ -120,9 +121,6 @@ class ProcessServer {
   Status SpawnWorker(std::uint32_t index);
   // The child body; never returns.
   [[noreturn]] void WorkerMain(std::uint32_t index);
-  // One worker pump thread: serves shared channel `channel` until the pool
-  // stops.
-  void PumpChannel(GrdManager& manager, std::uint32_t channel);
   void SuperviseLoop();
   // Crash repair for a reaped worker (see file comment); `respawn` gates
   // step 4.

@@ -61,6 +61,11 @@ enum class Op : std::uint32_t {
   kResumeSession,
 };
 
+// The highest opcode; ops are contiguous from kRegisterClient. Keep it the
+// last enumerator above so range loops (fuzzers, registry checks) cover
+// every op.
+inline constexpr Op kLastOp = Op::kResumeSession;
+
 // Priority classes of the preemption engine, least to most preemptible.
 // Wire-visible (the u8 priority field of kSetPriority); the scheduler's
 // aging policy may *boost* an op's effective class, never demote it.

@@ -1,30 +1,11 @@
 #include "guardian/transport.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace grd::guardian {
 
-void ManagerServer::AddChannel(ipc::Channel* channel, double weight,
-                               int priority) {
-  auto entry = std::make_unique<Entry>();
-  entry->channel = channel;
-  entry->weight = weight;
-  entry->priority = priority;
-  channels_.push_back(std::move(entry));
-  // Channels are fixed before Run()/Start(), so the priority order can be
-  // computed here instead of sorting on every sweep.
-  priority_order_.push_back(channels_.back().get());
-  std::stable_sort(priority_order_.begin(), priority_order_.end(),
-                   [](const Entry* a, const Entry* b) {
-                     return a->priority > b->priority;
-                   });
-}
-
 bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
-                      ipc::Bytes& parked,
-                      std::atomic<std::uint64_t>& last_client) {
+                      ipc::Bytes& parked) {
   if (!parked.empty()) {
     // A previous response is still waiting for this (stalled) client to
     // drain its ring; deliver it before consuming anything new so strict
@@ -53,15 +34,6 @@ bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
     return false;
   }
   manager.NoteRingRead();
-  {
-    // Remember which session this channel carries so the session-priority
-    // sweep can rank it by that tenant's class (cheap header peek; a
-    // malformed header is rejected by HandleRequest below anyway).
-    ipc::Reader peek(*request);
-    auto header = protocol::ReadHeader(peek);
-    if (header.ok() && header->client != 0)
-      last_client.store(header->client, std::memory_order_relaxed);
-  }
   ipc::Bytes response = manager.HandleRequest(*request);
   manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
   Status written = channel.response().TryWrite(response);
@@ -82,131 +54,46 @@ bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
   return true;
 }
 
-bool ManagerServer::ServeOne(Entry& entry) {
-  return ServeChannelStep(*manager_, *entry.channel, entry.parked,
-                          entry.last_client);
+void PumpChannel(GrdManager& manager, ipc::Channel& channel,
+                 const std::atomic<bool>& stop) {
+  // The response a stalled reader has not drained yet (see
+  // ServeChannelStep); while it is parked this thread consumes nothing new.
+  ipc::Bytes parked;
+  constexpr auto kIdleWait = std::chrono::milliseconds(5);
+  constexpr auto kPollInterval = std::chrono::microseconds(200);
+  while (!stop.load(std::memory_order_acquire)) {
+    if (ServeChannelStep(manager, channel, parked)) continue;
+    if (!parked.empty() || channel.request().closed())
+      std::this_thread::sleep_for(kPollInterval);
+    else
+      channel.request().WaitForMessage(kIdleWait);
+  }
 }
 
-std::size_t ManagerServer::SweepRoundRobin() {
-  std::size_t served = 0;
-  for (auto& entry : channels_) {
-    if (!Claim(*entry)) continue;
-    served += ServeOne(*entry) ? 1 : 0;
-    Release(*entry);
-  }
-  return served;
-}
-
-std::size_t ManagerServer::SweepPriority() {
-  // Strict priority: scan channels in descending priority order (precomputed
-  // in AddChannel) and serve the first pending request; at most one request
-  // per sweep so lower priorities are still polled when high ones go idle.
-  for (Entry* entry : priority_order_) {
-    if (!Claim(*entry)) continue;
-    const bool served = ServeOne(*entry);
-    Release(*entry);
-    if (served) return 1;
-  }
-  return 0;
-}
-
-std::size_t ManagerServer::SweepWeightedFair() {
-  std::size_t served = 0;
-  for (auto& entry : channels_) {
-    if (!Claim(*entry)) continue;
-    entry->deficit += entry->weight;
-    while (entry->deficit >= 1.0 && ServeOne(*entry)) {
-      entry->deficit -= 1.0;
-      ++served;
-    }
-    // An idle channel keeps no credit (classic DRR resets empty queues).
-    if (entry->deficit >= 1.0) entry->deficit = 0.0;
-    Release(*entry);
-  }
-  return served;
-}
-
-std::size_t ManagerServer::SweepSessionPriority() {
-  // One request per channel per sweep, like round robin, but channels whose
-  // session holds a more urgent class (kSetPriority) are visited first, so
-  // a realtime tenant's requests never queue behind a batch tenant's ring
-  // backlog inside the same sweep. Classes are snapshotted once per sweep:
-  // one registry lookup per channel, and a mid-sweep retag cannot make a
-  // channel be served twice (or skipped) within the same sweep.
-  std::vector<int> classes(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const std::uint64_t client =
-        channels_[i]->last_client.load(std::memory_order_relaxed);
-    classes[i] = static_cast<int>(
-        client == 0 ? protocol::PriorityClass::kNormal
-                    : manager_->SessionPriority(client));
-  }
-  std::size_t served = 0;
-  for (int cls = 0; cls < protocol::kPriorityClassCount; ++cls) {
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      if (classes[i] != cls) continue;
-      if (!Claim(*channels_[i])) continue;
-      served += ServeOne(*channels_[i]) ? 1 : 0;
-      Release(*channels_[i]);
-    }
-  }
-  return served;
-}
-
-std::size_t ManagerServer::ServeOnce() {
-  switch (policy_) {
-    case Policy::kRoundRobin: return SweepRoundRobin();
-    case Policy::kPriority: return SweepPriority();
-    case Policy::kWeightedFair: return SweepWeightedFair();
-    case Policy::kSessionPriority: return SweepSessionPriority();
-  }
-  return 0;
-}
-
-void ManagerServer::WorkerLoop(const std::atomic<bool>& stop) {
-  IdleBackoff backoff;
-  std::size_t doorbell_rotor = 0;
-  while (true) {
-    const std::size_t served = ServeOnce();
-    if (served > 0) {
-      backoff.Reset();
-      continue;
-    }
-    if (stop.load(std::memory_order_acquire)) return;
-    // Idle: park on a request-ring doorbell (rotating across channels; the
-    // wait is claim-free — futex waiters multiplex safely) instead of
-    // spin-sleeping. The 500µs bound keeps the worker polling the channels
-    // it is not waiting on and noticing `stop`.
-    if (ipc::ShmRing::kFutexDoorbell && !channels_.empty()) {
-      if (channels_[doorbell_rotor++ % channels_.size()]
-              ->channel->request()
-              .WaitForMessage(std::chrono::microseconds(500)))
-        backoff.Reset();
-    } else {
-      backoff.Pause();
-    }
-  }
+std::vector<std::thread> ManagerServer::SpawnPumps(
+    const std::atomic<bool>& stop) {
+  std::vector<std::thread> pumps;
+  pumps.reserve(channels_.size());
+  for (ipc::Channel* channel : channels_)
+    pumps.emplace_back(
+        [this, channel, &stop] { PumpChannel(*manager_, *channel, stop); });
+  return pumps;
 }
 
 void ManagerServer::Run(const std::atomic<bool>& stop) {
-  std::vector<std::thread> extra;
-  extra.reserve(workers_ - 1);
-  for (std::size_t i = 1; i < workers_; ++i)
-    extra.emplace_back([this, &stop] { WorkerLoop(stop); });
-  WorkerLoop(stop);
-  for (std::thread& worker : extra) worker.join();
+  for (std::thread& pump : SpawnPumps(stop)) pump.join();
 }
 
 void ManagerServer::Start() {
-  if (self_runner_.joinable()) return;  // already running
+  if (!self_pumps_.empty()) return;  // already running
   self_stop_.store(false, std::memory_order_release);
-  self_runner_ = std::thread([this] { Run(self_stop_); });
+  self_pumps_ = SpawnPumps(self_stop_);
 }
 
 void ManagerServer::Stop() {
-  if (!self_runner_.joinable()) return;
   self_stop_.store(true, std::memory_order_release);
-  self_runner_.join();
+  for (std::thread& pump : self_pumps_) pump.join();
+  self_pumps_.clear();
 }
 
 }  // namespace grd::guardian

@@ -4,32 +4,21 @@
 //  - LoopbackTransport: client and manager in one thread (unit tests,
 //    single-address-space experiments). The call is a direct function call.
 //  - ChannelTransport: client talks over an ipc::Channel (shared-memory
-//    rings); the manager runs a ManagerServer pump in another thread or —
-//    with SharedRegion + fork — another process, which is the paper's actual
-//    deployment (§4: applications and grdManager in different address
-//    spaces).
+//    rings); the manager runs a ManagerServer in another thread or —
+//    with SharedRegion + fork — a ProcessServer worker in another process,
+//    which is the paper's actual deployment (§4: applications and
+//    grdManager in different address spaces).
 //
-// ManagerServer serves client channels with one of three scheduling
-// policies (§4.2.4 — the paper uses round-robin and leaves richer policies
-// as future work) and, since the layered refactor, with a configurable
-// worker pool: `workers` threads pull requests concurrently, each channel
-// claimed by at most one worker at a time so per-session ordering is
-// preserved while different tenants' requests overlap.
-//
-// The fork-based sibling of this worker pool is ProcessServer
-// (process_server.hpp): N forked manager worker processes against the
-// SharedRegion session registry with sticky cross-process channel claims,
-// supervised (reaped/repaired/respawned) by the parent. Each worker runs one
-// pump thread per channel it owns. Both servers run the same per-request
-// step, ServeChannelStep; they differ only in how a thread finds its next
-// channel (a sweep policy here, a dedicated doorbell there).
+// There is one ring pump, PumpChannel: one thread per channel, sleeping on
+// the channel's request doorbell and running ServeChannelStep per request.
+// ManagerServer runs it in this process; ProcessServer (process_server.hpp)
+// runs it inside N forked manager worker processes against the SharedRegion
+// session registry. Thread vs fork is a deployment choice only.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -114,41 +103,8 @@ class ChannelTransport final : public ClientTransport {
   std::uint64_t deadline_failures_ = 0;
 };
 
-// Bounded spin → yield → exponential-sleep backoff for idle polling loops,
-// so an idle manager worker does not burn a core while staying responsive
-// under load.
-class IdleBackoff {
- public:
-  void Pause() {
-    ++idle_rounds_;
-    if (idle_rounds_ <= kSpinRounds) return;  // hot: re-poll immediately
-    if (idle_rounds_ <= kSpinRounds + kYieldRounds) {
-      std::this_thread::yield();
-      return;
-    }
-    sleep_us_ = sleep_us_ == 0 ? kMinSleepUs
-                               : std::min(sleep_us_ * 2, kMaxSleepUs);
-    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
-  }
-
-  void Reset() noexcept {
-    idle_rounds_ = 0;
-    sleep_us_ = 0;
-  }
-
- private:
-  static constexpr std::uint32_t kSpinRounds = 64;
-  static constexpr std::uint32_t kYieldRounds = 32;
-  static constexpr std::uint64_t kMinSleepUs = 50;
-  static constexpr std::uint64_t kMaxSleepUs = 1000;
-
-  std::uint32_t idle_rounds_ = 0;
-  std::uint64_t sleep_us_ = 0;
-};
-
-// One serve step on one channel: the per-request contract of both ring
-// pumps (ManagerServer's sweeps and each ProcessServer worker's per-channel
-// pump threads), written once:
+// One serve step on one channel: the per-request contract of the ring
+// pump, written once:
 //  1. a parked response (stalled reader) is re-offered first, and nothing
 //     new is consumed until it is delivered, so request/response pairing
 //     holds;
@@ -163,107 +119,47 @@ class IdleBackoff {
 //  5. a bounded (2 ms) write; a reader still stalled after that gets its
 //     response parked in `parked`, a vanished one counts as dropped.
 // Returns true when the step made progress. The caller must be the
-// channel's only server while the step runs; `last_client` receives the
-// client id of the request's header (the session-priority hint).
+// channel's only server while the step runs.
 bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
-                      ipc::Bytes& parked,
-                      std::atomic<std::uint64_t>& last_client);
+                      ipc::Bytes& parked);
 
-// Serves client channels. Scheduling policies:
-//  - kRoundRobin   : one request per channel per sweep (paper default);
-//  - kPriority     : strict priority — the highest-priority channel with a
-//                    pending request is served first each sweep;
-//  - kWeightedFair : deficit round robin — each sweep grants a channel
-//                    `weight` credits and serves up to that many requests;
-//  - kSessionPriority : each sweep visits channels in ascending session
-//                    priority-class order (kRealtime before kNormal before
-//                    kBatch, as set by the kSetPriority RPC), one request
-//                    per channel — so ring pumping and the device
-//                    scheduler's admission share one notion of tenant
-//                    priority instead of the transport static `priority`
-//                    integer. A channel's class is the one of the session
-//                    whose requests it last carried (kNormal until known).
+// The ring pump: serves `channel` on the calling thread until `stop` reads
+// true. Between steps an idle pump sleeps on the request ring's doorbell
+// (≤ 5 ms, so it notices `stop`); a parked response or a closed request
+// ring cannot be woken by that doorbell, so those poll every 200 µs. Both
+// servers run one such thread per channel, so a tenant blocked in a
+// synchronous handler, or a stalled reader, holds up only its own pump.
+void PumpChannel(GrdManager& manager, ipc::Channel& channel,
+                 const std::atomic<bool>& stop);
+
+// Thread-mode manager: one PumpChannel thread per client channel, all
+// against one GrdManager in this address space.
 class ManagerServer {
  public:
-  enum class Policy : std::uint8_t {
-    kRoundRobin,
-    kPriority,
-    kWeightedFair,
-    kSessionPriority,
-  };
-
-  explicit ManagerServer(GrdManager* manager,
-                         Policy policy = Policy::kRoundRobin,
-                         std::size_t workers = 1)
-      : manager_(manager),
-        policy_(policy),
-        workers_(workers == 0 ? 1 : workers) {}
+  explicit ManagerServer(GrdManager* manager) : manager_(manager) {}
 
   ~ManagerServer() { Stop(); }
 
   // Channels must be added before Run()/Start().
-  void AddChannel(ipc::Channel* channel, double weight = 1.0,
-                  int priority = 0);
+  void AddChannel(ipc::Channel* channel) { channels_.push_back(channel); }
 
-  Policy policy() const noexcept { return policy_; }
-  std::size_t workers() const noexcept { return workers_; }
-
-  // One scheduling sweep on the calling thread; returns requests served.
-  // Channels currently claimed by another worker are skipped.
-  std::size_t ServeOnce();
-
-  // Pump with `workers` threads (the calling thread counts as one) until
-  // `stop` becomes true and this worker's sweep finds all rings drained.
+  // Pumps every channel on its own thread until `stop` becomes true, then
+  // joins them.
   void Run(const std::atomic<bool>& stop);
 
-  // Convenience: Run() on internally managed threads. Stop() joins them;
-  // it is also called by the destructor.
+  // Convenience: the pump threads of Run(), left running. Stop() joins
+  // them; it is also called by the destructor.
   void Start();
   void Stop();
 
  private:
-  struct Entry {
-    ipc::Channel* channel = nullptr;
-    double weight = 1.0;
-    int priority = 0;
-    double deficit = 0.0;              // guarded by the busy claim
-    // Response awaiting a stalled client's ring to drain (guarded by the
-    // busy claim); while set, the channel's requests are not consumed so
-    // one slow reader cannot wedge a pump worker.
-    ipc::Bytes parked;
-    std::atomic<bool> busy{false};     // one worker per channel at a time
-    // Client id observed in the channel's last request header (0 until a
-    // session-carrying request arrives); the session-priority sweep ranks
-    // the channel by that session's class.
-    std::atomic<std::uint64_t> last_client{0};
-  };
-
-  // Claims `entry` for the calling worker; false when another worker has it.
-  static bool Claim(Entry& entry) noexcept {
-    bool expected = false;
-    return entry.busy.compare_exchange_strong(expected, true,
-                                              std::memory_order_acquire);
-  }
-  static void Release(Entry& entry) noexcept {
-    entry.busy.store(false, std::memory_order_release);
-  }
-
-  bool ServeOne(Entry& entry);  // requires the claim
-  std::size_t SweepRoundRobin();
-  std::size_t SweepPriority();
-  std::size_t SweepWeightedFair();
-  std::size_t SweepSessionPriority();
-  void WorkerLoop(const std::atomic<bool>& stop);
+  std::vector<std::thread> SpawnPumps(const std::atomic<bool>& stop);
 
   GrdManager* manager_;
-  Policy policy_;
-  std::size_t workers_;
-  std::vector<std::unique_ptr<Entry>> channels_;
-  // Descending-priority view of channels_, maintained by AddChannel.
-  std::vector<Entry*> priority_order_;
+  std::vector<ipc::Channel*> channels_;
 
   std::atomic<bool> self_stop_{false};
-  std::thread self_runner_;
+  std::vector<std::thread> self_pumps_;
 };
 
 }  // namespace grd::guardian

@@ -11,7 +11,7 @@
 // bytes included) between devices while one of its kernels is mid-grid.
 //
 // Children never run gtest assertions: they report through exit codes and
-// arm alarm() as a hang backstop, following the process_mode_test pattern.
+// arm alarm() as a hang backstop (ForkChild, test_support.hpp).
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -30,6 +30,7 @@
 #include "guardian/shared_state.hpp"
 #include "guardian/transport.hpp"
 #include "simgpu/device_spec.hpp"
+#include "test_support.hpp"
 
 namespace grd::guardian {
 namespace {
@@ -71,31 +72,6 @@ LOOP:
 
 constexpr std::uint32_t kBlocks = 64;
 constexpr std::uint32_t kIters = 200'000;
-
-pid_t ForkChild(const std::function<int()>& body) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    alarm(30);  // hang backstop: SIGALRM-terminated children fail the test
-    _exit(body());
-  }
-  return pid;
-}
-
-int WaitExit(pid_t pid) {
-  int status = 0;
-  if (waitpid(pid, &status, 0) != pid) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-}
-
-bool PollUntil(const std::function<bool()>& predicate, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!predicate()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  return true;
-}
 
 // Completed blocks the (single) active session has journaled so far.
 std::uint64_t JournaledBlocks(SharedServingState& state,

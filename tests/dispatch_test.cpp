@@ -19,16 +19,16 @@ TEST(DispatcherTest, BuiltinRegistryCoversEveryProtocolOp) {
   Dispatcher dispatcher;
   RegisterBuiltinHandlers(dispatcher);
   // Every op of the wire protocol has a handler — the enum is contiguous
-  // from kRegisterClient to kResumeSession (the last opcode).
+  // from kRegisterClient to kLastOp.
   for (auto raw = static_cast<std::uint32_t>(Op::kRegisterClient);
-       raw <= static_cast<std::uint32_t>(Op::kResumeSession); ++raw) {
+       raw <= static_cast<std::uint32_t>(protocol::kLastOp); ++raw) {
     const auto* descriptor = dispatcher.Find(static_cast<Op>(raw));
     ASSERT_NE(descriptor, nullptr) << "op " << raw;
     EXPECT_FALSE(descriptor->name.empty());
     EXPECT_TRUE(static_cast<bool>(descriptor->run));
   }
   EXPECT_EQ(dispatcher.size(),
-            static_cast<std::size_t>(Op::kResumeSession) -
+            static_cast<std::size_t>(protocol::kLastOp) -
                 static_cast<std::size_t>(Op::kRegisterClient) + 1);
 }
 

@@ -213,13 +213,11 @@ TEST_F(FullStackTest, ManyTenantsManyKernels) {
 
 TEST_F(FullStackTest, ConcurrentClientsOverThreadedChannels) {
   // Multi-threaded clients hammering one manager through real rings, served
-  // by a multi-worker pump (3 workers dispatching concurrently).
+  // by one pump thread per channel dispatching concurrently.
   constexpr int kClients = 4;
   constexpr int kOpsPerClient = 50;
   std::vector<std::unique_ptr<ipc::HeapChannel>> heaps;
-  guardian::ManagerServer server(&manager_,
-                                 guardian::ManagerServer::Policy::kRoundRobin,
-                                 /*workers=*/3);
+  guardian::ManagerServer server(&manager_);
   for (int i = 0; i < kClients; ++i) {
     heaps.push_back(std::make_unique<ipc::HeapChannel>());
     server.AddChannel(&heaps.back()->channel());

@@ -18,6 +18,7 @@
 #include "ptx/generator.hpp"
 #include "ptx/printer.hpp"
 #include "simgpu/device_spec.hpp"
+#include "test_support.hpp"
 
 namespace grd::guardian {
 namespace {
@@ -28,36 +29,6 @@ using simcuda::DevicePtr;
 using simcuda::MemcpyKind;
 
 std::string SamplePtx() { return ptx::Print(ptx::MakeSampleModule()); }
-
-// Kernel with a per-block infinite loop gated on the block index: blocks
-// 0..2 store their id and exit, block 3 spins forever. Exercises the
-// budget-requeue path with real completed blocks to preserve.
-constexpr char kSpinTailPtx[] = R"(
-.version 7.7
-.target sm_86
-.address_size 64
-.visible .entry spintail(
-    .param .u64 dst
-)
-{
-    .reg .b32 %r<4>;
-    .reg .b64 %rd<4>;
-    .reg .pred %p1;
-    mov.u32 %r1, %ctaid.x;
-    setp.lt.u32 %p1, %r1, 3;
-    @%p1 bra STORE;
-LOOP:
-    add.s32 %r2, %r2, 1;
-    bra LOOP;
-STORE:
-    ld.param.u64 %rd1, [dst];
-    cvta.to.global.u64 %rd2, %rd1;
-    mul.wide.u32 %rd3, %r1, 4;
-    add.s64 %rd2, %rd2, %rd3;
-    st.global.u32 [%rd2], %r1;
-    ret;
-}
-)";
 
 class PreemptionTest : public ::testing::Test {
  protected:

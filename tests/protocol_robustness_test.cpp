@@ -320,7 +320,7 @@ class RingChaosTest : public ::testing::Test {
   RingChaosTest()
       : gpu_(simgpu::QuadroRtxA4000()),
         manager_(&gpu_, ManagerOptions{}),
-        server_(&manager_, ManagerServer::Policy::kRoundRobin, 2) {
+        server_(&manager_) {
     server_.AddChannel(&honest_.channel());
     server_.AddChannel(&chaotic_.channel());
     server_.Start();
@@ -456,8 +456,7 @@ TEST_F(RobustnessTest, RandomBytesWithValidHeaderNeverCrash) {
   for (int i = 0; i < 5000; ++i) {
     ipc::Writer request;
     const auto op = static_cast<protocol::Op>(
-        1 + rng.NextBelow(static_cast<std::uint32_t>(
-                protocol::Op::kSetPriority)));
+        1 + rng.NextBelow(static_cast<std::uint32_t>(protocol::kLastOp)));
     protocol::WriteHeader(request, op, lib->client_id());
     ipc::Bytes raw = std::move(request).Take();
     const std::size_t junk = rng.NextBelow(48);

@@ -1,6 +1,7 @@
-// ManagerServer coverage: scheduling policies under multiple loaded
-// channels, the multi-worker pump, idle backoff, and dropped-response
-// accounting.
+// The ring pump: ManagerServer's one pump thread per channel under
+// concurrent clients, per-session ordering, a tenant parked in an endless
+// kernel beside a live co-tenant, prompt idle stop, and dropped-response
+// accounting in the per-request step.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,10 +13,12 @@
 #include "guardian/manager.hpp"
 #include "guardian/transport.hpp"
 #include "simgpu/device_spec.hpp"
+#include "test_support.hpp"
 
 namespace grd::guardian {
 namespace {
 
+using ptxexec::KernelArg;
 using simcuda::DevicePtr;
 using simcuda::MemcpyKind;
 
@@ -45,168 +48,27 @@ class TransportTest : public ::testing::Test {
     }
   }
 
-  static std::size_t Drain(ipc::Channel& channel) {
-    std::size_t count = 0;
-    while (channel.response().TryRead().ok()) ++count;
-    return count;
-  }
-
   simcuda::Gpu gpu_;
   GrdManager manager_;
 };
 
-TEST_F(TransportTest, RoundRobinIsFairAcrossLoadedChannels) {
-  ipc::HeapChannel a, b, c;
-  ManagerServer server(&manager_);
-  server.AddChannel(&a.channel());
-  server.AddChannel(&b.channel());
-  server.AddChannel(&c.channel());
-  const ClientId ca = Register(), cb = Register(), cc = Register();
-  EnqueueSyncs(a.channel(), ca, 5);
-  EnqueueSyncs(b.channel(), cb, 5);
-  EnqueueSyncs(c.channel(), cc, 5);
-  // Every sweep serves exactly one request per loaded channel.
-  for (int sweep = 1; sweep <= 5; ++sweep) {
-    EXPECT_EQ(server.ServeOnce(), 3u) << "sweep " << sweep;
-  }
-  EXPECT_EQ(server.ServeOnce(), 0u);  // drained
-  EXPECT_EQ(Drain(a.channel()), 5u);
-  EXPECT_EQ(Drain(b.channel()), 5u);
-  EXPECT_EQ(Drain(c.channel()), 5u);
-}
-
-TEST_F(TransportTest, StrictPriorityDrainsHighBeforeLowerTiers) {
-  ipc::HeapChannel low, mid, high;
-  ManagerServer server(&manager_, ManagerServer::Policy::kPriority);
-  server.AddChannel(&low.channel(), 1.0, /*priority=*/0);
-  server.AddChannel(&mid.channel(), 1.0, /*priority=*/3);
-  server.AddChannel(&high.channel(), 1.0, /*priority=*/7);
-  const ClientId cl = Register(), cm = Register(), ch = Register();
-  EnqueueSyncs(low.channel(), cl, 2);
-  EnqueueSyncs(mid.channel(), cm, 2);
-  EnqueueSyncs(high.channel(), ch, 2);
-
-  // One request per sweep, highest pending priority first: the service
-  // order is high ×2, mid ×2, low ×2.
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(server.ServeOnce(), 1u);
-  EXPECT_EQ(Drain(high.channel()), 2u);
-  EXPECT_EQ(Drain(mid.channel()), 0u);
-  EXPECT_EQ(Drain(low.channel()), 0u);
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(server.ServeOnce(), 1u);
-  EXPECT_EQ(Drain(mid.channel()), 2u);
-  EXPECT_EQ(Drain(low.channel()), 0u);
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(server.ServeOnce(), 1u);
-  EXPECT_EQ(Drain(low.channel()), 2u);
-  EXPECT_EQ(server.ServeOnce(), 0u);
-}
-
-TEST_F(TransportTest, WeightedFairServesProportionallyToWeights) {
-  ipc::HeapChannel heavy, medium, light;
-  ManagerServer server(&manager_, ManagerServer::Policy::kWeightedFair);
-  server.AddChannel(&heavy.channel(), /*weight=*/3.0);
-  server.AddChannel(&medium.channel(), /*weight=*/2.0);
-  server.AddChannel(&light.channel(), /*weight=*/1.0);
-  const ClientId ch = Register(), cm = Register(), cl = Register();
-  EnqueueSyncs(heavy.channel(), ch, 12);
-  EnqueueSyncs(medium.channel(), cm, 12);
-  EnqueueSyncs(light.channel(), cl, 12);
-
-  // Each sweep grants weight credits: service is 3:2:1 while all channels
-  // stay backlogged.
-  EXPECT_EQ(server.ServeOnce(), 6u);
-  EXPECT_EQ(Drain(heavy.channel()), 3u);
-  EXPECT_EQ(Drain(medium.channel()), 2u);
-  EXPECT_EQ(Drain(light.channel()), 1u);
-  (void)server.ServeOnce();
-  (void)server.ServeOnce();
-  EXPECT_EQ(Drain(heavy.channel()), 6u);
-  EXPECT_EQ(Drain(medium.channel()), 4u);
-  EXPECT_EQ(Drain(light.channel()), 2u);
-}
-
-TEST_F(TransportTest, SessionPrioritySweepVisitsRealtimeChannelsFirst) {
-  // Channel order deliberately favors the batch tenant; the session-priority
-  // policy must still visit the realtime tenant's channel first each sweep.
-  ipc::HeapChannel batch_chan, rt_chan;
-  ManagerServer server(&manager_, ManagerServer::Policy::kSessionPriority);
-  server.AddChannel(&batch_chan.channel());
-  server.AddChannel(&rt_chan.channel());
-  const ClientId batch_client = Register(), rt_client = Register();
-
-  // Teach each channel which session it carries (header peek on serve).
-  EnqueueSyncs(batch_chan.channel(), batch_client, 1);
-  EnqueueSyncs(rt_chan.channel(), rt_client, 1);
-  EXPECT_EQ(server.ServeOnce(), 2u);
-  EXPECT_EQ(Drain(batch_chan.channel()), 1u);
-  EXPECT_EQ(Drain(rt_chan.channel()), 1u);
-
-  // Tag the sessions through the wire protocol (kSetPriority scope 0).
-  const auto set_priority = [&](ClientId client, protocol::PriorityClass cls) {
-    ipc::Writer request;
-    protocol::WriteHeader(request, protocol::Op::kSetPriority, client);
-    request.Put<std::uint8_t>(0);
-    request.Put<std::uint64_t>(0);
-    request.Put<std::uint8_t>(static_cast<std::uint8_t>(cls));
-    auto decoded =
-        protocol::DecodeResponse(manager_.HandleRequest(std::move(request).Take()));
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-  };
-  set_priority(batch_client, protocol::PriorityClass::kBatch);
-  set_priority(rt_client, protocol::PriorityClass::kRealtime);
-  EXPECT_EQ(manager_.SessionPriority(rt_client),
-            protocol::PriorityClass::kRealtime);
-  EXPECT_EQ(manager_.SessionPriority(batch_client),
-            protocol::PriorityClass::kBatch);
-
-  // One sessionless registration queued per channel, batch channel first.
-  // Registration order is observable through the handed-out client ids, so
-  // the sweep's visit order is provable: the realtime channel's
-  // registration must happen first despite its channel being listed last.
-  const auto enqueue_register = [](ipc::Channel& channel) {
-    ipc::Writer request;
-    protocol::WriteHeader(request, protocol::Op::kRegisterClient, 0);
-    request.Put<std::uint64_t>(1 << 20);
-    ASSERT_TRUE(channel.request().Write(std::move(request).Take()).ok());
-  };
-  enqueue_register(batch_chan.channel());
-  enqueue_register(rt_chan.channel());
-  EXPECT_EQ(server.ServeOnce(), 2u);
-
-  const auto read_new_id = [](ipc::Channel& channel) -> std::uint64_t {
-    auto response = channel.response().TryRead();
-    if (!response.ok()) return 0;
-    auto reader = protocol::DecodeResponse(*response);
-    if (!reader.ok()) return 0;
-    auto id = reader->Get<std::uint64_t>();
-    return id.ok() ? *id : 0;
-  };
-  const std::uint64_t id_via_rt = read_new_id(rt_chan.channel());
-  const std::uint64_t id_via_batch = read_new_id(batch_chan.channel());
-  ASSERT_NE(id_via_rt, 0u);
-  ASSERT_NE(id_via_batch, 0u);
-  EXPECT_LT(id_via_rt, id_via_batch)
-      << "batch channel was served before the realtime channel";
-}
-
 TEST_F(TransportTest, DroppedResponseIsCountedNotSilent) {
   ipc::HeapChannel heap;
-  ManagerServer server(&manager_);
-  server.AddChannel(&heap.channel());
   const ClientId id = Register();
   EnqueueSyncs(heap.channel(), id, 1);
   // The client vanishes before its response can be delivered.
   heap.channel().response().Close();
-  EXPECT_EQ(server.ServeOnce(), 1u);  // request was still served
+  ipc::Bytes parked;
+  EXPECT_TRUE(ServeChannelStep(manager_, heap.channel(), parked));
+  EXPECT_TRUE(parked.empty());  // dropped, not parked for a later retry
   EXPECT_EQ(manager_.stats().responses_dropped, 1u);
 }
 
-TEST_F(TransportTest, MultiWorkerServesConcurrentClientsCorrectly) {
+TEST_F(TransportTest, ServesConcurrentClientsCorrectly) {
   constexpr int kClients = 6;
   constexpr int kOpsPerClient = 40;
   std::vector<std::unique_ptr<ipc::HeapChannel>> heaps;
-  ManagerServer server(&manager_, ManagerServer::Policy::kRoundRobin,
-                       /*workers=*/4);
-  ASSERT_GE(server.workers(), 2u);
+  ManagerServer server(&manager_);
   for (int i = 0; i < kClients; ++i) {
     heaps.push_back(std::make_unique<ipc::HeapChannel>());
     server.AddChannel(&heaps.back()->channel());
@@ -243,13 +105,12 @@ TEST_F(TransportTest, MultiWorkerServesConcurrentClientsCorrectly) {
   EXPECT_EQ(manager_.active_clients(), 0u);
 }
 
-TEST_F(TransportTest, MultiWorkerPreservesPerSessionOrdering) {
-  // One channel hammered with sequenced writes to the same address: even
-  // with 4 workers, per-channel claims keep the session's requests in
-  // order, so the last write wins.
+TEST_F(TransportTest, PreservesPerSessionOrdering) {
+  // One channel hammered with sequenced writes to the same address: its
+  // single pump thread keeps the session's requests in order, so the last
+  // write wins.
   ipc::HeapChannel heap;
-  ManagerServer server(&manager_, ManagerServer::Policy::kRoundRobin,
-                       /*workers=*/4);
+  ManagerServer server(&manager_);
   server.AddChannel(&heap.channel());
   server.Start();
 
@@ -267,47 +128,82 @@ TEST_F(TransportTest, MultiWorkerPreservesPerSessionOrdering) {
   server.Stop();
 }
 
-TEST_F(TransportTest, IdleServerStopsPromptlyDespiteBackoff) {
+TEST_F(TransportTest, IdleServerStopsPromptly) {
   ipc::HeapChannel heap;
-  ManagerServer server(&manager_, ManagerServer::Policy::kRoundRobin,
-                       /*workers=*/2);
+  ManagerServer server(&manager_);
   server.AddChannel(&heap.channel());
   std::atomic<bool> stop{false};
   std::thread pump([&] { server.Run(stop); });
-  // Let the workers reach the deep end of the backoff (sleep phase).
+  // Let the pump go idle on the request doorbell.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto begin = std::chrono::steady_clock::now();
   stop.store(true);
   pump.join();
   const auto elapsed = std::chrono::steady_clock::now() - begin;
-  // Backoff sleeps are bounded (≤1 ms), so shutdown is fast.
+  // Doorbell waits are bounded (5 ms), so shutdown is fast.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             500);
 }
 
-TEST(IdleBackoffTest, EscalatesAndResets) {
-  IdleBackoff backoff;
-  // Spin + yield phases consume no wall-clock worth measuring.
-  const auto begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < 96; ++i) backoff.Pause();
-  const auto hot = std::chrono::steady_clock::now() - begin;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(hot).count(),
-            100);
-  // The sleep phase actually sleeps.
-  const auto sleep_begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < 8; ++i) backoff.Pause();
-  const auto slept = std::chrono::steady_clock::now() - sleep_begin;
-  EXPECT_GT(std::chrono::duration_cast<std::chrono::microseconds>(slept)
-                .count(),
-            300);
-  backoff.Reset();  // back to the hot phase
-  const auto reset_begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < 32; ++i) backoff.Pause();
-  const auto after_reset = std::chrono::steady_clock::now() - reset_begin;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(after_reset)
-                .count(),
-            100);
+// Thread-mode twin of ProcessModeTest's
+// BlockedTenantDoesNotStallItsCoTenantOnTheSameWorker: tenant A parks its
+// channel's pump in an endless default-stream kernel, and tenant B on the
+// same ManagerServer must complete full workloads while A's call is still
+// outstanding. Nothing in a live manager ends that kernel, so the whole
+// stack runs in a forked child that exits with A still parked. Exit codes:
+// 10 setup failed, 11 A's launch was never consumed, 12 B stalled behind A,
+// 13 A's endless launch returned early.
+TEST(ManagerServerTest, BlockedTenantDoesNotStallItsCoTenant) {
+  const pid_t child = ForkChild([]() -> int {
+    simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
+    ManagerOptions options;
+    options.max_kernel_instructions = 1ull << 40;
+    GrdManager manager(&gpu, options);
+    ipc::HeapChannel a_heap, b_heap;
+    ManagerServer server(&manager);
+    server.AddChannel(&a_heap.channel());
+    server.AddChannel(&b_heap.channel());
+    server.Start();
+
+    ChannelTransport a_transport(&a_heap.channel());
+    ChannelTransport b_transport(&b_heap.channel(), std::chrono::seconds(5));
+    auto a = GrdLib::Connect(&a_transport, 8 << 20);
+    auto b = GrdLib::Connect(&b_transport, 8 << 20);
+    if (!a.ok() || !b.ok()) _exit(10);
+    auto module = a->cuModuleLoadData(kSpinTailPtx);
+    if (!module.ok()) _exit(10);
+    auto spin = a->cuModuleGetFunction(*module, "spintail");
+    DevicePtr buf = 0;
+    if (!spin.ok() || !a->cudaMalloc(&buf, 4096).ok()) _exit(10);
+
+    std::atomic<bool> a_returned{false};
+    std::thread tenant_a([&] {
+      simcuda::LaunchConfig config;
+      config.grid = {4, 1, 1};
+      config.block = {1, 1, 1};
+      (void)a->cudaLaunchKernel(*spin, config, {KernelArg::U64(buf)});
+      a_returned.store(true, std::memory_order_release);
+    });
+
+    // A's launch is consumed (request read, no response yet): its pump
+    // thread is now parked in the handler's wait on the endless kernel.
+    ipc::Channel& a_channel = a_heap.channel();
+    if (!PollUntil(
+            [&] {
+              return a_channel.request().messages_read() >
+                     a_channel.response().messages_written();
+            },
+            10'000))
+      _exit(11);
+    constexpr int kRounds = 8;
+    for (int round = 0; round < kRounds; ++round)
+      if (RunHonestWorkload(*b) != 0) _exit(12);
+    // A's kernel ends only with this process.
+    _exit(a_returned.load(std::memory_order_acquire) ? 13 : 0);
+  });
+  ASSERT_GT(child, 0);
+  EXPECT_EQ(WaitExit(child), 0);
 }
 
 }  // namespace
