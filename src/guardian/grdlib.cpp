@@ -124,13 +124,15 @@ ipc::Writer GrdLib::NewRequest(Op op) const {
   return writer;
 }
 
-Result<Reader> GrdLib::Transact(const Bytes& raw,
-                                Bytes* response_storage) const {
-  GRD_ASSIGN_OR_RETURN(*response_storage, transport_->Call(raw));
+Result<Reader> GrdLib::Transact(const Bytes& raw, Bytes* response_storage,
+                                ipc::ByteSpan bulk) const {
+  const ipc::ByteSpan parts[] = {raw, bulk};
+  GRD_ASSIGN_OR_RETURN(*response_storage, transport_->Call(parts));
   return protocol::DecodeResponse(*response_storage);
 }
 
-Result<Reader> GrdLib::Call(Writer request, Bytes* response_storage) const {
+Result<Reader> GrdLib::Call(Writer request, Bytes* response_storage,
+                            ipc::ByteSpan bulk) const {
   // Copy the trace state now: FlushBatch below stamps its own envelope
   // header and would clobber it.
   const obs::TraceContext ctx = last_trace_;
@@ -140,7 +142,7 @@ Result<Reader> GrdLib::Call(Writer request, Bytes* response_storage) const {
   // surface here (CUDA-style deferred async error reporting).
   GRD_RETURN_IF_ERROR(FlushBatch());
   Bytes raw = std::move(request).Take();
-  auto reader = Transact(raw, response_storage);
+  auto reader = Transact(raw, response_storage, bulk);
   if (ctx.valid()) {
     char name[48];
     std::snprintf(name, sizeof(name), "client.%s", protocol::OpName(op));
@@ -168,7 +170,7 @@ Result<Reader> GrdLib::Call(Writer request, Bytes* response_storage) const {
           " not retried (rebuild device state and retry)"));
     PatchHeaderClient(raw, client_);
     ++recovery_retries_;
-    reader = Transact(raw, response_storage);
+    reader = Transact(raw, response_storage, bulk);
     if (reader.ok() ||
         reader.status().code() != StatusCode::kUnavailable)
       return reader;
@@ -176,9 +178,9 @@ Result<Reader> GrdLib::Call(Writer request, Bytes* response_storage) const {
   return reader;
 }
 
-Status GrdLib::CallNoPayload(Writer request) const {
+Status GrdLib::CallNoPayload(Writer request, ipc::ByteSpan bulk) const {
   Bytes storage;
-  auto reader = Call(std::move(request), &storage);
+  auto reader = Call(std::move(request), &storage, bulk);
   return reader.ok() ? OkStatus() : reader.status();
 }
 
@@ -211,13 +213,13 @@ Status GrdLib::FlushBatch() const {
   const std::size_t sent = pending_.size();
   pending_.clear();
   pending_bytes_ = 0;
-  GRD_ASSIGN_OR_RETURN(Bytes response,
-                       transport_->Call(std::move(envelope).Take()));
+  Bytes response;
+  auto decoded = Transact(std::move(envelope).Take(), &response);
   if (batch_ctx.valid())
     obs::TraceRecorder::Instance().EmitComplete(
         "client.Batch", batch_ctx, 0, batch_begin_ns, obs::MonotonicNowNs(),
         sent);
-  GRD_ASSIGN_OR_RETURN(Reader reader, protocol::DecodeResponse(response));
+  GRD_ASSIGN_OR_RETURN(Reader reader, std::move(decoded));
   ++batches_sent_;
   GRD_ASSIGN_OR_RETURN(std::uint8_t form, reader.Get<std::uint8_t>());
   GRD_ASSIGN_OR_RETURN(std::uint32_t executed, reader.Get<std::uint32_t>());
@@ -421,7 +423,7 @@ Status GrdLib::cudaMemcpy(void* dst_host, DevicePtr src_dev,
   request.Put<std::uint64_t>(size);
   Bytes storage;
   GRD_ASSIGN_OR_RETURN(Reader reader, Call(std::move(request), &storage));
-  GRD_ASSIGN_OR_RETURN(Bytes payload, reader.GetBlob());
+  GRD_ASSIGN_OR_RETURN(ipc::ByteSpan payload, reader.GetBlobView());
   if (payload.size() != size) return Internal("short D2H payload");
   std::memcpy(dst_host, payload.data(), size);
   return OkStatus();
@@ -429,10 +431,15 @@ Status GrdLib::cudaMemcpy(void* dst_host, DevicePtr src_dev,
 
 Status GrdLib::cudaMemcpyH2D(DevicePtr dst_dev, const void* src_host,
                              std::uint64_t size) {
+  // The blob's length prefix is encoded here and its bytes follow as their
+  // own part, straight from the caller's buffer into the ring (the call is
+  // synchronous, so the buffer outlives it).
   Writer request = NewRequest(Op::kMemcpyH2D);
   request.Put<std::uint64_t>(dst_dev);
-  request.PutBlob(src_host, size);
-  return CallNoPayload(std::move(request));
+  request.Put<std::uint64_t>(size);
+  return CallNoPayload(
+      std::move(request),
+      ipc::ByteSpan(static_cast<const std::uint8_t*>(src_host), size));
 }
 
 Status GrdLib::cudaMemcpyH2DAsync(DevicePtr dst_dev, const void* src_host,

@@ -196,12 +196,17 @@ class GrdLib final : public simcuda::CudaApi {
   explicit GrdLib(ClientTransport* transport) : transport_(transport) {}
 
   ipc::Writer NewRequest(protocol::Op op) const;
-  Result<ipc::Reader> Call(ipc::Writer request,
-                           ipc::Bytes* response_storage) const;
-  Status CallNoPayload(ipc::Writer request) const;
+  // `bulk` (optional) is sent right after the encoded request as its own
+  // part of the same ring frame: a synchronous H2D passes the caller's host
+  // buffer there instead of copying it into the request. It must stay valid
+  // until the call returns, retries included.
+  Result<ipc::Reader> Call(ipc::Writer request, ipc::Bytes* response_storage,
+                           ipc::ByteSpan bulk = {}) const;
+  Status CallNoPayload(ipc::Writer request, ipc::ByteSpan bulk = {}) const;
   // One transport round trip + response decode, no recovery logic.
   Result<ipc::Reader> Transact(const ipc::Bytes& raw,
-                               ipc::Bytes* response_storage) const;
+                               ipc::Bytes* response_storage,
+                               ipc::ByteSpan bulk = {}) const;
   // Appends an async request to the batch buffer (flushing when full)
   // instead of sending it, when batching is on.
   Status BufferAsync(ipc::Writer request) const;

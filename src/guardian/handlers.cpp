@@ -299,9 +299,10 @@ GpuTicket EnqueueCopyOp(HandlerContext& ctx, GpuStream& stream,
 
 struct MemcpyH2DReq {
   std::uint64_t dst = 0;
-  // In place in the request buffer: the handler waits for the copy, so the
-  // request outlives every read of the payload, and a bulk upload is not
-  // copied again between leaving the ring and landing in device memory.
+  // In place in the request buffer, the pump's private copy of the frame
+  // (never the shared ring; see ServeChannelStep). The handler waits for
+  // the copy, so the request outlives every read of the payload, and a
+  // bulk upload is not copied again on its way into device memory.
   std::span<const std::uint8_t> payload;
 };
 Result<MemcpyH2DReq> DecodeMemcpyH2D(Reader& req) {
@@ -374,12 +375,12 @@ Status ValidateRange(HandlerContext& ctx, const RangeReq& req) {
 }
 Result<Writer> ExecuteMemcpyD2H(HandlerContext& ctx, RangeReq& req) {
   GRD_RETURN_IF_ERROR(SyncOtherStreams(ctx));
-  ipc::Bytes payload(req.size);
   const std::uint64_t addr = req.addr;
   const std::uint64_t size = req.size;
-  std::uint8_t* out_bytes = payload.data();
-  // The handler waits on the ticket before touching `payload`, so handing
-  // the raw buffer pointer to the executor is safe.
+  Writer out;
+  std::uint8_t* out_bytes = out.PutBlobInPlace(size);
+  // The handler waits on the ticket before touching `out` again, so handing
+  // the raw reply pointer to the executor is safe.
   auto ticket =
       EnqueueCopyOp(ctx, *StreamOf(ctx, 0), size,
                     [addr, size, out_bytes](
@@ -387,8 +388,6 @@ Result<Writer> ExecuteMemcpyD2H(HandlerContext& ctx, RangeReq& req) {
                       return memory.Read(addr, out_bytes, size);
                     });
   GRD_RETURN_IF_ERROR(Dev(ctx).scheduler.Wait(ticket));
-  Writer out;
-  out.PutBlob(payload.data(), payload.size());
   return out;
 }
 

@@ -41,7 +41,7 @@ Status GrdManager::Migrate(ClientId client, std::uint32_t device) {
   return MigrateSession(exec_, sessions_, session, device);
 }
 
-ipc::Bytes GrdManager::HandleRequest(const Bytes& request) {
+ipc::Bytes GrdManager::HandleRequest(ipc::ByteSpan request) {
   Reader reader(request);
   auto header = protocol::ReadHeader(reader);
   if (!header.ok()) return protocol::EncodeError(header.status());

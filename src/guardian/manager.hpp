@@ -54,8 +54,10 @@ class GrdManager {
 
   // Full request dispatcher (one IPC message in, one out). Never throws and
   // never returns a malformed response; internal errors become error
-  // responses. Safe to call concurrently.
-  ipc::Bytes HandleRequest(const ipc::Bytes& request);
+  // responses. Safe to call concurrently. `request` must be a private copy
+  // that stays unchanged until the call returns (handlers may read it in
+  // place), never bytes a tenant can still write.
+  ipc::Bytes HandleRequest(ipc::ByteSpan request);
 
   const ManagerStats& stats() const noexcept { return exec_.stats; }
   const ManagerOptions& options() const noexcept { return exec_.options; }

@@ -179,12 +179,12 @@ inline ipc::Bytes EncodeError(const Status& status) {
   return std::move(writer).Take();
 }
 
+// The status byte goes in front of the payload's own buffer: one bulk move
+// of the body, however large the reply (a D2H carries its data here).
 inline ipc::Bytes EncodeOk(ipc::Writer payload = {}) {
-  ipc::Writer writer;
-  writer.Put<std::uint8_t>(1);
-  ipc::Bytes body = std::move(payload).Take();
-  for (const std::uint8_t b : body) writer.Put<std::uint8_t>(b);
-  return std::move(writer).Take();
+  ipc::Bytes response = std::move(payload).Take();
+  response.insert(response.begin(), std::uint8_t{1});
+  return response;
 }
 
 // Returns a Reader positioned at the payload, or the decoded error status.

@@ -5,7 +5,7 @@
 namespace grd::guardian {
 
 bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
-                      ipc::Bytes& parked) {
+                      ipc::Bytes& stage, ipc::Bytes& parked) {
   if (!parked.empty()) {
     // A previous response is still waiting for this (stalled) client to
     // drain its ring; deliver it before consuming anything new so strict
@@ -18,7 +18,7 @@ bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
     parked.clear();
     return true;
   }
-  auto request = channel.request().TryRead();
+  auto request = channel.request().TryRead(stage);
   if (!request.ok()) {
     if (request.status().code() == StatusCode::kAborted) {
       // Torn/garbage frame: the ring repaired itself (head clamped to tail,
@@ -56,13 +56,15 @@ bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
 
 void PumpChannel(GrdManager& manager, ipc::Channel& channel,
                  const std::atomic<bool>& stop) {
-  // The response a stalled reader has not drained yet (see
-  // ServeChannelStep); while it is parked this thread consumes nothing new.
+  // The request being served and the response a stalled reader has not
+  // drained yet (see ServeChannelStep); while one is parked this thread
+  // consumes nothing new.
+  ipc::Bytes stage;
   ipc::Bytes parked;
   constexpr auto kIdleWait = std::chrono::milliseconds(5);
   constexpr auto kPollInterval = std::chrono::microseconds(200);
   while (!stop.load(std::memory_order_acquire)) {
-    if (ServeChannelStep(manager, channel, parked)) continue;
+    if (ServeChannelStep(manager, channel, stage, parked)) continue;
     if (!parked.empty() || channel.request().closed())
       std::this_thread::sleep_for(kPollInterval);
     else

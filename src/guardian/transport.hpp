@@ -27,16 +27,23 @@
 
 namespace grd::guardian {
 
+// One request/response exchange. The request is the concatenation of
+// `parts`, which must stay valid until Call returns: grdLib sends a small
+// encoded header plus the caller's own host buffer, never a copy of it.
 class ClientTransport {
  public:
   virtual ~ClientTransport() = default;
-  virtual Result<ipc::Bytes> Call(const ipc::Bytes& request) = 0;
+  virtual Result<ipc::Bytes> Call(ipc::Parts parts) = 0;
 };
 
+// Tests and probes only, so it simply concatenates the parts.
 class LoopbackTransport final : public ClientTransport {
  public:
   explicit LoopbackTransport(GrdManager* manager) : manager_(manager) {}
-  Result<ipc::Bytes> Call(const ipc::Bytes& request) override {
+  Result<ipc::Bytes> Call(ipc::Parts parts) override {
+    ipc::Bytes request;
+    for (const ipc::ByteSpan part : parts)
+      request.insert(request.end(), part.begin(), part.end());
     return manager_->HandleRequest(request);
   }
 
@@ -62,8 +69,8 @@ class ChannelTransport final : public ClientTransport {
                             std::chrono::nanoseconds call_timeout = {})
       : channel_(channel), call_timeout_(call_timeout) {}
 
-  Result<ipc::Bytes> Call(const ipc::Bytes& request) override {
-    if (call_timeout_.count() == 0) return channel_->Call(request);
+  Result<ipc::Bytes> Call(ipc::Parts parts) override {
+    if (call_timeout_.count() == 0) return channel_->Call(parts);
     while (owed_responses_ > 0) {
       auto stale = channel_->response().ReadWithDeadline(call_timeout_);
       if (!stale.ok()) {
@@ -77,7 +84,7 @@ class ChannelTransport final : public ClientTransport {
       --owed_responses_;
     }
     GRD_RETURN_IF_ERROR(
-        channel_->request().WriteWithDeadline(request, call_timeout_));
+        channel_->request().WriteWithDeadline(parts, call_timeout_));
     auto response = channel_->response().ReadWithDeadline(call_timeout_);
     if (!response.ok() &&
         response.status().code() == StatusCode::kDeadlineExceeded) {
@@ -108,10 +115,15 @@ class ChannelTransport final : public ClientTransport {
 //  1. a parked response (stalled reader) is re-offered first, and nothing
 //     new is consumed until it is delivered, so request/response pairing
 //     holds;
-//  2. one request is read; a torn/garbage frame (the ring already
-//     resynchronized itself) is answered with kAborted so the blocked
-//     client fails fast;
-//  3. GrdManager::HandleRequest;
+//  2. one request is read into `stage`, the pump's private reusable copy
+//     (ShmRing::TryRead(Bytes&)): no allocation per request, and nothing
+//     is decoded in place from the tenant-writable ring, so a tenant
+//     cannot change a request between its validation and its use. A
+//     torn/garbage frame (the ring already resynchronized itself) is
+//     answered with kAborted so the blocked client fails fast;
+//  3. GrdManager::HandleRequest on the staged bytes, which stay untouched
+//     until it returns (a synchronous H2D copies its payload straight from
+//     the stage into device memory);
 //  4. count-then-publish: ManagerStats::ring_messages_written is bumped
 //     BEFORE the response is published and taken back when the publish
 //     fails, so nobody unblocked by the response can observe the shared
@@ -119,16 +131,19 @@ class ChannelTransport final : public ClientTransport {
 //  5. a bounded (2 ms) write; a reader still stalled after that gets its
 //     response parked in `parked`, a vanished one counts as dropped.
 // Returns true when the step made progress. The caller must be the
-// channel's only server while the step runs.
+// channel's only server while the step runs, and owns `stage` and `parked`
+// across steps.
 bool ServeChannelStep(GrdManager& manager, ipc::Channel& channel,
-                      ipc::Bytes& parked);
+                      ipc::Bytes& stage, ipc::Bytes& parked);
 
 // The ring pump: serves `channel` on the calling thread until `stop` reads
-// true. Between steps an idle pump sleeps on the request ring's doorbell
-// (≤ 5 ms, so it notices `stop`); a parked response or a closed request
-// ring cannot be woken by that doorbell, so those poll every 200 µs. Both
-// servers run one such thread per channel, so a tenant blocked in a
-// synchronous handler, or a stalled reader, holds up only its own pump.
+// true, reading every request into one stage it keeps (it grows to the
+// largest request seen, at most the ring's capacity). Between steps an
+// idle pump sleeps on the request ring's doorbell (≤ 5 ms, so it notices
+// `stop`); a parked response or a closed request ring cannot be woken by
+// that doorbell, so those poll every 200 µs. Both servers run one such
+// thread per channel, so a tenant blocked in a synchronous handler, or a
+// stalled reader, holds up only its own pump.
 void PumpChannel(GrdManager& manager, ipc::Channel& channel,
                  const std::atomic<bool>& stop);
 

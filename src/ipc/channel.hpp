@@ -31,21 +31,15 @@ class Channel {
   ShmRing& request() noexcept { return request_; }
   ShmRing& response() noexcept { return response_; }
 
-  // Client side: send a request and block for the response.
-  Result<Bytes> Call(const Bytes& request) {
-    GRD_RETURN_IF_ERROR(request_.Write(request));
+  // Client side: send a request (gathered from `parts`, see ShmRing) and
+  // block for the response.
+  Result<Bytes> Call(Parts parts) {
+    GRD_RETURN_IF_ERROR(request_.Write(parts));
     return response_.Read();
   }
-
-  // Client side with a per-call deadline covering both ring waits: a dead
-  // or wedged manager yields kDeadlineExceeded instead of a hang. NOTE: a
-  // read timeout leaves the channel owing one response (the request may
-  // still be consumed and answered later) — ChannelTransport tracks and
-  // re-drains that debt to keep request/response pairing aligned.
-  Result<Bytes> CallWithDeadline(const Bytes& request,
-                                 std::chrono::nanoseconds timeout) {
-    GRD_RETURN_IF_ERROR(request_.WriteWithDeadline(request, timeout));
-    return response_.ReadWithDeadline(timeout);
+  Result<Bytes> Call(const Bytes& request) {
+    const ByteSpan part(request);
+    return Call(Parts(&part, 1));
   }
 
   void Close() {

@@ -14,6 +14,10 @@
 namespace grd::ipc {
 
 using Bytes = std::vector<std::uint8_t>;
+// A borrowed run of bytes, and a message gathered from several of them
+// (ShmRing writes the parts back to back as one frame).
+using ByteSpan = std::span<const std::uint8_t>;
+using Parts = std::span<const ByteSpan>;
 
 class Writer {
  public:
@@ -33,10 +37,23 @@ class Writer {
   }
 
   void PutBlob(const void* data, std::uint64_t size) {
+    // An empty blob may come with a null `data` (an empty vector's), which
+    // memcpy must not see.
+    if (size == 0) {
+      Put<std::uint64_t>(0);
+      return;
+    }
+    std::memcpy(PutBlobInPlace(size), data, size);
+  }
+
+  // Appends a blob of `size` bytes for the caller to fill in place (a D2H
+  // reads device memory straight into its reply). The pointer is valid
+  // until the writer next grows.
+  std::uint8_t* PutBlobInPlace(std::uint64_t size) {
     Put<std::uint64_t>(size);
     const std::size_t offset = buffer_.size();
     buffer_.resize(offset + size);
-    std::memcpy(buffer_.data() + offset, data, size);
+    return buffer_.data() + offset;
   }
 
   Bytes Take() && { return std::move(buffer_); }
@@ -48,7 +65,7 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(const Bytes& bytes) : data_(bytes.data()), size_(bytes.size()) {}
+  explicit Reader(ByteSpan bytes) : data_(bytes.data()), size_(bytes.size()) {}
   Reader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 

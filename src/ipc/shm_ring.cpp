@@ -29,6 +29,17 @@ constexpr std::uint32_t kRewindMarker = 0xFFFFFFFFu;
 // cycling through the first pages instead of touching the whole ring.
 constexpr std::uint64_t kRewindMinOffset = 64 * 1024;
 
+// Payload bytes of a frame gathered from `parts`, capped at kRewindMarker:
+// ProbeSpace rejects any frame that long, so an absurd total is refused
+// instead of wrapping into a small one (a span's size is below 2^63, so the
+// running sum cannot overflow before the cap).
+std::uint64_t PartsBytes(Parts parts) {
+  std::uint64_t total = 0;
+  for (const ByteSpan part : parts)
+    total = std::min<std::uint64_t>(total + part.size(), kRewindMarker);
+  return total;
+}
+
 void Backoff(int& spins) {
   if (++spins < kSpinsBeforeYield) return;
   std::this_thread::yield();
@@ -161,8 +172,8 @@ void ShmRing::WakeDoorbell() {
 #endif
 }
 
-void ShmRing::PublishFrame(const Bytes& message) {
-  const std::uint64_t frame = sizeof(std::uint32_t) + message.size();
+void ShmRing::PublishFrame(Parts parts, std::uint64_t payload) {
+  const std::uint64_t frame = sizeof(std::uint32_t) + payload;
   // Counter BEFORE the publish (the read side counts after): if the writer
   // dies between the two stores, the counter over-reports by one and a
   // crash supervisor diffing the pair computes a smaller deficit — it
@@ -189,34 +200,42 @@ void ShmRing::PublishFrame(const Bytes& message) {
     CopyIn(tail, &kRewindMarker, sizeof(kRewindMarker));
     start = tail - offset + cap;
   }
-  const auto len = static_cast<std::uint32_t>(message.size());
+  const auto len = static_cast<std::uint32_t>(payload);
   CopyIn(start, &len, sizeof(len));
-  if (!message.empty())
-    CopyIn(start + sizeof(len), message.data(), message.size());
+  std::uint64_t pos = start + sizeof(len);
+  for (const ByteSpan part : parts) {
+    if (part.empty()) continue;
+    CopyIn(pos, part.data(), part.size());
+    pos += part.size();
+  }
   header_->tail.store(start + frame, std::memory_order_release);
   WakeDoorbell();
 }
 
-Status ShmRing::Write(const Bytes& message) {
-  GRD_RETURN_IF_ERROR(WaitForSpace(sizeof(std::uint32_t) + message.size()));
-  PublishFrame(message);
+Status ShmRing::Write(Parts parts) {
+  const std::uint64_t payload = PartsBytes(parts);
+  GRD_RETURN_IF_ERROR(WaitForSpace(sizeof(std::uint32_t) + payload));
+  PublishFrame(parts, payload);
   return OkStatus();
 }
 
-Status ShmRing::TryWrite(const Bytes& message) {
-  GRD_RETURN_IF_ERROR(ProbeSpace(sizeof(std::uint32_t) + message.size()));
-  PublishFrame(message);
+Status ShmRing::TryWrite(Parts parts) {
+  const std::uint64_t payload = PartsBytes(parts);
+  GRD_RETURN_IF_ERROR(ProbeSpace(sizeof(std::uint32_t) + payload));
+  PublishFrame(parts, payload);
   return OkStatus();
 }
 
-Status ShmRing::WriteWithDeadline(const Bytes& message,
+Status ShmRing::WriteWithDeadline(Parts parts,
                                   std::chrono::nanoseconds timeout) {
   const timespec deadline = DeadlineAfter(timeout);
+  const std::uint64_t payload = PartsBytes(parts);
+  const std::uint64_t needed = sizeof(std::uint32_t) + payload;
   int spins = 0;
   while (true) {
-    const Status probe = ProbeSpace(sizeof(std::uint32_t) + message.size());
+    const Status probe = ProbeSpace(needed);
     if (probe.ok()) {
-      PublishFrame(message);
+      PublishFrame(parts, payload);
       return OkStatus();
     }
     if (probe.code() != StatusCode::kNotFound) return probe;
@@ -226,9 +245,9 @@ Status ShmRing::WriteWithDeadline(const Bytes& message,
       // Deadline-edge re-probe: space freed between the probe above and the
       // clock read was still freed BEFORE the deadline — report the write,
       // not a spurious timeout.
-      const Status last = ProbeSpace(sizeof(std::uint32_t) + message.size());
+      const Status last = ProbeSpace(needed);
       if (last.ok()) {
-        PublishFrame(message);
+        PublishFrame(parts, payload);
         return OkStatus();
       }
       if (last.code() != StatusCode::kNotFound) return last;
@@ -251,7 +270,7 @@ Status ShmRing::InjectRaw(const void* bytes, std::uint64_t len) {
   return OkStatus();
 }
 
-Result<Bytes> ShmRing::TryRead() {
+Result<ByteSpan> ShmRing::TryRead(Bytes& stage) {
   std::uint64_t head = header_->head.load(std::memory_order_relaxed);
   const std::uint64_t tail = header_->tail.load(std::memory_order_acquire);
   if (tail == head) {
@@ -293,11 +312,22 @@ Result<Bytes> ShmRing::TryRead() {
     header_->messages_read.fetch_add(1, std::memory_order_release);
     return Status(Aborted("corrupt ring frame discarded"));
   }
-  Bytes message(len);
-  if (len > 0) CopyOut(head + sizeof(len), message.data(), len);
+  if (stage.size() < len) {
+    // Grow to this message; the stage's old bytes need not survive.
+    stage.clear();
+    stage.resize(len);
+  }
+  if (len > 0) CopyOut(head + sizeof(len), stage.data(), len);
   header_->head.store(head + sizeof(len) + len, std::memory_order_release);
   header_->messages_read.fetch_add(1, std::memory_order_release);
-  return message;
+  return ByteSpan(stage.data(), len);
+}
+
+Result<Bytes> ShmRing::TryRead() {
+  Bytes message;
+  auto read = TryRead(message);
+  if (!read.ok()) return read.status();
+  return message;  // a fresh stage grows to exactly the message
 }
 
 bool ShmRing::WaitForMessage(std::chrono::nanoseconds timeout) {

@@ -34,6 +34,12 @@
 // next lap boundary, so closed-loop traffic reuses the ring's first pages
 // instead of first-touching all of it. The marker is validated like any
 // frame and never counted as a message (see PublishFrame/TryRead).
+//
+// Bulk copies: a producer gathers one frame from several byte spans (a
+// small encoded header plus the caller's own payload) straight into the
+// ring, and a consumer reads each frame into one stage it keeps and reuses.
+// A payload therefore crosses the ring in two memcpys (source -> ring ->
+// stage) with no per-message buffer on either side.
 #pragma once
 
 #include <atomic>
@@ -103,27 +109,53 @@ class ShmRing {
   // when `initialize` is true; attach with false from the second process).
   ShmRing(void* region, std::uint64_t data_capacity, bool initialize);
 
-  // Blocking write of one message (spin + yield backoff). Fails if the
-  // message cannot ever fit or the ring is closed.
-  Status Write(const Bytes& message);
+  // Every write publishes ONE frame gathered from `parts`, copied back to
+  // back straight into the ring (the frame's length is their total): a
+  // caller with a small header and a large borrowed payload never builds
+  // the concatenation. The Bytes overloads are one-part writes.
+  //
+  // Blocking write (spin + yield backoff). Fails if the message cannot ever
+  // fit or the ring is closed.
+  Status Write(Parts parts);
+  Status Write(const Bytes& message) {
+    const ByteSpan part(message);
+    return Write(Parts(&part, 1));
+  }
 
   // Non-blocking write: NotFound immediately when the ring lacks space
   // (mirroring TryRead's NotFound-when-empty), Unavailable when closed.
-  Status TryWrite(const Bytes& message);
+  Status TryWrite(Parts parts);
+  Status TryWrite(const Bytes& message) {
+    const ByteSpan part(message);
+    return TryWrite(Parts(&part, 1));
+  }
 
   // Blocking write bounded by `timeout`: DeadlineExceeded when the ring
   // stays full past an absolute CLOCK_MONOTONIC deadline computed on entry.
   // EINTR-safe by construction, same discipline as ReadWithDeadline.
+  Status WriteWithDeadline(Parts parts, std::chrono::nanoseconds timeout);
   Status WriteWithDeadline(const Bytes& message,
-                           std::chrono::nanoseconds timeout);
+                           std::chrono::nanoseconds timeout) {
+    const ByteSpan part(message);
+    return WriteWithDeadline(Parts(&part, 1), timeout);
+  }
 
   // Blocking read of the next message. Fails with kUnavailable when the
   // ring is closed and drained.
   Result<Bytes> Read();
 
-  // Non-blocking read: returns NotFound immediately when empty. Returns
-  // kAborted after discarding buffered bytes when the next frame is
-  // impossible (torn/garbage length prefix — see the file comment).
+  // Non-blocking read into the caller's reusable `stage`: the returned span
+  // is the message, a prefix of `stage`, valid until `stage` is next
+  // touched. `stage` only ever grows (to the largest message read so far,
+  // at most the ring's capacity), so a consumer that keeps one stage reads
+  // without allocating or zero-filling per message. The bytes are a private
+  // copy: a consumer must never decode in place from the ring, whose bytes
+  // the producer can still change under it. Returns NotFound immediately
+  // when empty, and kAborted after discarding buffered bytes when the next
+  // frame is impossible (torn/garbage length prefix — see the file
+  // comment).
+  Result<ByteSpan> TryRead(Bytes& stage);
+  // The same, into a fresh buffer of exactly the message's size.
   Result<Bytes> TryRead();
 
   // Blocking read bounded by `timeout`: DeadlineExceeded when the ring
@@ -169,8 +201,9 @@ class ShmRing {
   // Single space probe: OkStatus / NotFound (full) / Unavailable (closed) /
   // InvalidArgument (can never fit).
   Status ProbeSpace(std::uint64_t needed);
-  // Copies the frame in and publishes tail (+ doorbell wake).
-  void PublishFrame(const Bytes& message);
+  // Copies the frame (`payload` bytes gathered from `parts`) in and
+  // publishes tail (+ doorbell wake).
+  void PublishFrame(Parts parts, std::uint64_t payload);
   // FUTEX_WAKE on the doorbell word when any consumer is registered.
   void WakeDoorbell();
 

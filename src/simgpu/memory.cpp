@@ -96,9 +96,36 @@ Status GlobalMemory::Copy(std::uint64_t dst, std::uint64_t src,
                           std::uint64_t len) {
   GRD_RETURN_IF_ERROR(CheckRange(dst, len));
   GRD_RETURN_IF_ERROR(CheckRange(src, len));
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(len));
-  GRD_RETURN_IF_ERROR(Read(src, buffer.data(), len));
-  return Write(dst, buffer.data(), len);
+  if (dst == src) return OkStatus();
+  // memmove semantics across pages: when the destination overlaps the
+  // source from above, walk both ranges from their ends, so every chunk
+  // reads source bytes no earlier chunk has overwritten. Each chunk lies
+  // inside one source page and one destination page (memmove covers the
+  // overlap within a shared page).
+  const bool backward = dst > src && dst - src < len;
+  while (len > 0) {
+    const std::uint64_t s = backward ? src + len - 1 : src;
+    const std::uint64_t d = backward ? dst + len - 1 : dst;
+    const std::uint64_t s_room =
+        backward ? s % kPageSize + 1 : kPageSize - s % kPageSize;
+    const std::uint64_t d_room =
+        backward ? d % kPageSize + 1 : kPageSize - d % kPageSize;
+    const std::uint64_t chunk = std::min({len, s_room, d_room});
+    const std::uint64_t s_at = backward ? s + 1 - chunk : s;
+    const std::uint64_t d_at = backward ? d + 1 - chunk : d;
+    std::uint8_t* out = PageForWrite(d_at / kPageSize) + d_at % kPageSize;
+    if (const std::uint8_t* page = PageForRead(s_at / kPageSize)) {
+      std::memmove(out, page + s_at % kPageSize, chunk);
+    } else {
+      std::memset(out, 0, chunk);  // never-touched source reads as zero
+    }
+    if (!backward) {
+      src += chunk;
+      dst += chunk;
+    }
+    len -= chunk;
+  }
+  return OkStatus();
 }
 
 }  // namespace grd::simgpu

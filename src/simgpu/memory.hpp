@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/status.hpp"
 
@@ -65,7 +64,10 @@ class GlobalMemory {
   Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const;
   Status Write(std::uint64_t addr, const void* src, std::uint64_t len);
   Status Fill(std::uint64_t addr, std::uint8_t value, std::uint64_t len);
-  // Device-to-device copy (cudaMemcpyD2D path).
+  // Device-to-device copy (cudaMemcpyD2D path): page to page, moving each
+  // byte once, with no staging buffer. Overlapping ranges end up exactly as
+  // memmove leaves them; never-touched source pages copy as zeros. Both
+  // ranges are checked before any byte moves.
   Status Copy(std::uint64_t dst, std::uint64_t src, std::uint64_t len);
 
   template <typename T>

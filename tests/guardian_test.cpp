@@ -346,7 +346,7 @@ TEST_F(GuardianTest, UnknownClientRejected) {
 }
 
 TEST_F(GuardianTest, MalformedRequestRejected) {
-  const auto response = manager_.HandleRequest({0x01});
+  const auto response = manager_.HandleRequest(ipc::Bytes{0x01});
   auto decoded = protocol::DecodeResponse(response);
   EXPECT_FALSE(decoded.ok());
 }

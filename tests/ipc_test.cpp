@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <thread>
 
 #include "ipc/channel.hpp"
@@ -258,6 +259,154 @@ TEST(ShmRing, ForgedRewindMarkerIsContained) {
   // The ring keeps serving valid frames afterwards.
   RoundTrip(ring, Bytes(100, 3));
   EXPECT_EQ(ring.TryRead().status().code(), StatusCode::kNotFound);
+}
+
+// Concatenation of `parts`: what a gathered frame must read back as.
+Bytes Concat(Parts parts) {
+  Bytes whole;
+  for (const ByteSpan part : parts)
+    whole.insert(whole.end(), part.begin(), part.end());
+  return whole;
+}
+
+TEST(ShmRing, GatherWriteReadsBackAsTheConcatenation) {
+  // Frames of three parts (one empty) in two traffic shapes. Pipelined one
+  // deep, the ring is never drained at a publish, so frames wrap at the
+  // ring's end; drained after every frame, the producer rewinds instead.
+  constexpr std::uint64_t kCapacity = 256;
+  constexpr int kFrames = 300;
+  for (const bool pipelined : {true, false}) {
+    std::vector<std::uint8_t> region(ShmRing::RegionSize(kCapacity));
+    ShmRing ring(region.data(), kCapacity, /*initialize=*/true);
+    auto* header = reinterpret_cast<ShmRing::Header*>(region.data());
+    Bytes stage;
+    std::deque<Bytes> queued;
+    std::uint64_t frame_bytes = 0;
+    for (int i = 0; i < kFrames; ++i) {
+      const Bytes head(1 + i % 7, static_cast<std::uint8_t>(i));
+      const Bytes body(20 + (i * 13) % 50, static_cast<std::uint8_t>(~i));
+      const ByteSpan parts[] = {head, ByteSpan(), body};
+      ASSERT_TRUE(ring.Write(parts).ok()) << "frame " << i;
+      queued.push_back(Concat(parts));
+      frame_bytes += sizeof(std::uint32_t) + queued.back().size();
+      if (pipelined && queued.size() < 2) continue;
+      auto out = ring.TryRead(stage);
+      ASSERT_TRUE(out.ok()) << out.status();
+      ASSERT_EQ(Bytes(out->begin(), out->end()), queued.front())
+          << "frame " << i;
+      queued.pop_front();
+    }
+    EXPECT_EQ(ring.messages_written(), static_cast<std::uint64_t>(kFrames));
+    EXPECT_EQ(ring.messages_read(), kFrames - queued.size());
+    EXPECT_EQ(ring.frames_corrupt(), 0u);
+    if (pipelined) {
+      // Never rewound: every byte of tail is a frame, many laps of the ring.
+      EXPECT_EQ(header->tail.load(), frame_bytes);
+      EXPECT_GT(frame_bytes, 10 * kCapacity);
+    } else {
+      EXPECT_GT(header->tail.load(), frame_bytes);  // rewinds happened
+    }
+  }
+}
+
+TEST(ShmRing, GatherWriteRejectsAnOversizeTotal) {
+  // Each part fits, their total does not: rejected like an oversize Write,
+  // by every write flavour, and nothing is published.
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(64));
+  ShmRing ring(region.data(), 64, /*initialize=*/true);
+  const Bytes a(40, 1);
+  const Bytes b(30, 2);
+  const ByteSpan parts[] = {a, b};
+  EXPECT_EQ(ring.Write(parts).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ring.TryWrite(parts).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ring.WriteWithDeadline(parts, std::chrono::milliseconds(10)).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ring.messages_written(), 0u);
+  EXPECT_EQ(ring.TryRead().status().code(), StatusCode::kNotFound);
+}
+
+TEST(ShmRing, GatherWriteWithDeadline) {
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(64));
+  ShmRing ring(region.data(), 64, /*initialize=*/true);
+  const Bytes head = {1, 2, 3};
+  const Bytes body(30, 9);
+  const ByteSpan parts[] = {head, body};
+  ASSERT_TRUE(ring.WriteWithDeadline(parts, std::chrono::seconds(1)).ok());
+  // The ring now lacks room for a second such frame: the wait times out.
+  EXPECT_EQ(
+      ring.WriteWithDeadline(parts, std::chrono::milliseconds(20)).code(),
+      StatusCode::kDeadlineExceeded);
+  // A reader draining the ring mid-wait lets the same write land.
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (void)ring.TryRead();
+  });
+  EXPECT_TRUE(ring.WriteWithDeadline(parts, std::chrono::seconds(5)).ok());
+  reader.join();
+  auto out = ring.TryRead();
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*out, Concat(parts));
+}
+
+TEST(ShmRing, ReusedStageReturnsExactlyEachMessage) {
+  // A large frame then a small one through one stage: the span is exactly
+  // the small message (no stale tail of the large one), and the stage
+  // keeps its storage instead of shrinking and growing back.
+  constexpr std::uint64_t kCapacity = 1 << 16;
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(kCapacity));
+  ShmRing ring(region.data(), kCapacity, /*initialize=*/true);
+  Bytes stage;
+  const Bytes large(40000, 0xAA);
+  const Bytes small = {0x11, 0x22, 0x33};
+  ASSERT_TRUE(ring.Write(large).ok());
+  auto out = ring.TryRead(stage);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(Bytes(out->begin(), out->end()), large);
+  const std::uint8_t* storage = stage.data();
+
+  ASSERT_TRUE(ring.Write(small).ok());
+  out = ring.TryRead(stage);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(Bytes(out->begin(), out->end()), small);
+  EXPECT_EQ(out->data(), storage);
+
+  ASSERT_TRUE(ring.Write(Bytes()).ok());
+  out = ring.TryRead(stage);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(out->empty());
+
+  ASSERT_TRUE(ring.Write(large).ok());
+  out = ring.TryRead(stage);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(Bytes(out->begin(), out->end()), large);
+  EXPECT_EQ(stage.data(), storage);
+  EXPECT_EQ(stage.size(), large.size());  // grown once, to the largest
+}
+
+TEST(ShmRing, StagedReadStillContainsTornFrames) {
+  std::vector<std::uint8_t> region(ShmRing::RegionSize(4096));
+  ShmRing ring(region.data(), 4096, /*initialize=*/true);
+  Bytes stage;
+  // A length prefix claiming more bytes than were published.
+  const std::uint32_t lying = 1000;
+  ASSERT_TRUE(ring.InjectRaw(&lying, sizeof(lying)).ok());
+  EXPECT_EQ(ring.TryRead(stage).status().code(), StatusCode::kAborted);
+  EXPECT_EQ(ring.frames_corrupt(), 1u);
+  // A truncated length prefix.
+  const std::uint8_t half[2] = {7, 0};
+  ASSERT_TRUE(ring.InjectRaw(half, sizeof(half)).ok());
+  EXPECT_EQ(ring.TryRead(stage).status().code(), StatusCode::kAborted);
+  EXPECT_EQ(ring.frames_corrupt(), 2u);
+  // The ring and the stage keep serving whole frames afterwards.
+  const Bytes head = {5};
+  const Bytes body(100, 6);
+  const ByteSpan parts[] = {head, body};
+  ASSERT_TRUE(ring.Write(parts).ok());
+  auto out = ring.TryRead(stage);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(Bytes(out->begin(), out->end()), Concat(parts));
+  EXPECT_EQ(ring.TryRead(stage).status().code(), StatusCode::kNotFound);
 }
 
 TEST(Serializer, ForgedBlobLengthsAreTruncationErrors) {

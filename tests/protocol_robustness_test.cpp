@@ -4,6 +4,7 @@
 // untrusted (threat model, §3/§5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -41,6 +42,36 @@ class RobustnessTest : public ::testing::Test {
   GrdManager manager_;
   LoopbackTransport transport_;
 };
+
+TEST(Protocol, EncodeOkRoundTripsPayloadsOfEverySize) {
+  // Empty, one byte, and a multi-MiB body (a D2H reply's size class): the
+  // status byte leads and the body follows intact.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{3} << 20}) {
+    ipc::Bytes body(size);
+    for (std::size_t i = 0; i < size; ++i)
+      body[i] = static_cast<std::uint8_t>(i * 31 + i / 4096);
+    ipc::Writer payload;
+    payload.PutBlob(body.data(), body.size());
+    const ipc::Bytes response = protocol::EncodeOk(std::move(payload));
+    ASSERT_EQ(response.size(), 1 + sizeof(std::uint64_t) + size);
+    EXPECT_EQ(response[0], 1);
+    auto reader = protocol::DecodeResponse(response);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto view = reader->GetBlobView();
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_TRUE(std::equal(view->begin(), view->end(), body.begin(),
+                           body.end()))
+        << "size " << size;
+    EXPECT_EQ(reader->remaining(), 0u);
+  }
+  // No payload at all: the bare status byte.
+  const ipc::Bytes bare = protocol::EncodeOk();
+  ASSERT_EQ(bare, ipc::Bytes{1});
+  auto reader = protocol::DecodeResponse(bare);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->remaining(), 0u);
+}
 
 TEST_F(RobustnessTest, EmptyMessage) {
   EXPECT_FALSE(Send({}).ok());

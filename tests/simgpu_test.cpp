@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "simgpu/device_spec.hpp"
 #include "simgpu/engine.hpp"
 #include "simgpu/memory.hpp"
@@ -76,6 +82,112 @@ TEST(GlobalMemory, FillAndCopy) {
   auto r2 = mem.Load<std::uint8_t>(5063);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*r2, 0xAB);
+}
+
+constexpr std::uint64_t kPage = 64 * 1024;
+
+// Device bytes [0, size) read back in one piece.
+std::vector<std::uint8_t> Snapshot(const GlobalMemory& mem) {
+  std::vector<std::uint8_t> bytes(mem.size());
+  EXPECT_TRUE(mem.Read(0, bytes.data(), bytes.size()).ok());
+  return bytes;
+}
+
+TEST(GlobalMemory, CopyMatchesMemmoveForOverlapsAndUnalignedRanges) {
+  // Every copy is mirrored with memmove on a host model of the device;
+  // after each one the whole device must equal the model.
+  GlobalMemory mem(16 * kPage);
+  std::vector<std::uint8_t> model(mem.size(), 0);
+  for (std::uint64_t i = 0; i < 10 * kPage; ++i)
+    model[i] = static_cast<std::uint8_t>(i * 131 + i / 251);
+  ASSERT_TRUE(mem.Write(0, model.data(), 10 * kPage).ok());
+  struct Case {
+    std::uint64_t dst, src, len;
+  };
+  const Case cases[] = {
+      {1000, 1100, 3000},                  // one page, dst below src
+      {1100, 1000, 3000},                  // one page, dst above src
+      {kPage - 100, kPage - 95, 3 * kPage},  // across pages, dst below
+      {kPage - 95, kPage - 100, 3 * kPage},  // across pages, dst above
+      {10, kPage + 10, 2 * kPage + 7},     // same page offsets, far overlap
+      {kPage + 10, 10, 2 * kPage + 7},
+      {3, 2 * kPage + 7, 150001},          // disjoint, unaligned
+      {9 * kPage + 1, 4 * kPage - 3, kPage + 5},
+      {5 * kPage, 5 * kPage, kPage},       // onto itself
+      {123, 456, 0},                       // empty
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(mem.Copy(c.dst, c.src, c.len).ok());
+    std::memmove(model.data() + c.dst, model.data() + c.src, c.len);
+    ASSERT_EQ(Snapshot(mem), model)
+        << "dst " << c.dst << " src " << c.src << " len " << c.len;
+  }
+}
+
+TEST(GlobalMemory, CopyFromNeverTouchedPagesWritesZeros) {
+  GlobalMemory mem(16 * kPage);
+  // The source straddles one touched page and two never-touched ones; the
+  // destination holds old data that must be overwritten with zeros.
+  const std::vector<std::uint8_t> ones(3 * kPage, 0xFF);
+  ASSERT_TRUE(mem.Write(8 * kPage, ones.data(), ones.size()).ok());
+  ASSERT_TRUE(mem.Fill(2 * kPage + 17, 0x5A, 100).ok());
+  ASSERT_TRUE(mem.Copy(8 * kPage + 1, 2 * kPage, 2 * kPage + 50).ok());
+  std::vector<std::uint8_t> expected(3 * kPage, 0xFF);
+  std::fill(expected.begin() + 1, expected.begin() + 1 + 2 * kPage + 50, 0);
+  std::fill(expected.begin() + 1 + 17, expected.begin() + 1 + 117, 0x5A);
+  std::vector<std::uint8_t> got(3 * kPage);
+  ASSERT_TRUE(mem.Read(8 * kPage, got.data(), got.size()).ok());
+  EXPECT_EQ(got, expected);
+}
+
+TEST(GlobalMemory, OutOfRangeCopyMovesNoByte) {
+  GlobalMemory mem(16 * kPage);
+  ASSERT_TRUE(mem.Fill(0, 0x77, 2 * kPage).ok());
+  const std::vector<std::uint8_t> before = Snapshot(mem);
+  const std::uint64_t resident = mem.resident_bytes();
+  // Source running off the end; destination running off the end (its
+  // first pages in range and never touched); a length past the device.
+  EXPECT_EQ(mem.Copy(0, 15 * kPage, 2 * kPage).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(mem.Copy(14 * kPage, 0, 3 * kPage).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(mem.Copy(0, 0, 17 * kPage).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(mem.Copy(~0ull - 10, 0, 100).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(Snapshot(mem), before);
+  EXPECT_EQ(mem.resident_bytes(), resident);
+}
+
+TEST(GlobalMemory, ConcurrentCopiesIntoOneFreshPage) {
+  // Two threads copy into disjoint halves of the same never-touched pages,
+  // racing the first-touch CAS on every page: both halves must land and
+  // each page must be installed exactly once.
+  constexpr std::uint64_t kPages = 64;
+  GlobalMemory mem(kPages * kPage);
+  std::vector<std::uint8_t> source(kPage);
+  for (std::uint64_t i = 0; i < kPage; ++i)
+    source[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  ASSERT_TRUE(mem.Write(0, source.data(), kPage).ok());
+  std::atomic<bool> go{false};
+  auto copier = [&](std::uint64_t half) {
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    for (std::uint64_t page = 1; page < kPages; ++page) {
+      const std::uint64_t offset = half * kPage / 2;
+      EXPECT_TRUE(
+          mem.Copy(page * kPage + offset, offset, kPage / 2).ok());
+    }
+  };
+  std::thread low(copier, 0);
+  std::thread high(copier, 1);
+  go.store(true, std::memory_order_release);
+  low.join();
+  high.join();
+  EXPECT_EQ(mem.resident_bytes(), kPages * kPage);
+  std::vector<std::uint8_t> page(kPage);
+  for (std::uint64_t p = 1; p < kPages; ++p) {
+    ASSERT_TRUE(mem.Read(p * kPage, page.data(), kPage).ok());
+    ASSERT_EQ(page, source) << "page " << p;
+  }
 }
 
 TEST(GlobalMemory, SparseResidency) {

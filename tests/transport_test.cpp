@@ -1,14 +1,18 @@
 // The ring pump: ManagerServer's one pump thread per channel under
 // concurrent clients, per-session ordering, a tenant parked in an endless
-// kernel beside a live co-tenant, prompt idle stop, and dropped-response
-// accounting in the per-request step.
+// kernel beside a live co-tenant, prompt idle stop, dropped-response
+// accounting in the per-request step, 8 MiB bulk copies over a real ring,
+// and the recovery retry of a gathered H2D.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "guardian/grdlib.hpp"
 #include "guardian/manager.hpp"
 #include "guardian/transport.hpp"
@@ -58,8 +62,9 @@ TEST_F(TransportTest, DroppedResponseIsCountedNotSilent) {
   EnqueueSyncs(heap.channel(), id, 1);
   // The client vanishes before its response can be delivered.
   heap.channel().response().Close();
+  ipc::Bytes stage;
   ipc::Bytes parked;
-  EXPECT_TRUE(ServeChannelStep(manager_, heap.channel(), parked));
+  EXPECT_TRUE(ServeChannelStep(manager_, heap.channel(), stage, parked));
   EXPECT_TRUE(parked.empty());  // dropped, not parked for a later retry
   EXPECT_EQ(manager_.stats().responses_dropped, 1u);
 }
@@ -126,6 +131,122 @@ TEST_F(TransportTest, PreservesPerSessionOrdering) {
   ASSERT_TRUE(lib->cudaMemcpy(&back, p, 8, MemcpyKind::kDeviceToHost).ok());
   EXPECT_EQ(back, 200u);
   server.Stop();
+}
+
+TEST_F(TransportTest, BulkCopiesRoundTripOverARealRing) {
+  // One tenant over 16 MiB rings: a seeded 8 MiB H2D (gathered straight
+  // from the host buffer into the ring, staged once by the pump), an 8 MiB
+  // D2D and a D2H readback, repeated until the request ring has rewound.
+  constexpr std::uint64_t kRing = 16ull << 20;
+  constexpr std::uint64_t kCopy = 8ull << 20;
+  constexpr int kRounds = 4;
+  // A heap channel whose request-ring header the test can inspect.
+  std::unique_ptr<std::uint8_t[]> region(
+      new std::uint8_t[ipc::Channel::RegionSize(kRing)]);
+  ipc::Channel channel(region.get(), kRing, /*initialize=*/true);
+  const auto* request_ring =
+      reinterpret_cast<const ipc::ShmRing::Header*>(region.get());
+  ManagerServer server(&manager_);
+  server.AddChannel(&channel);
+  server.Start();
+
+  ChannelTransport transport(&channel);
+  auto lib = GrdLib::Connect(&transport, 2 * kCopy);
+  ASSERT_TRUE(lib.ok()) << lib.status();
+  DevicePtr src = 0;
+  DevicePtr dst = 0;
+  ASSERT_TRUE(lib->cudaMalloc(&src, kCopy).ok());
+  ASSERT_TRUE(lib->cudaMalloc(&dst, kCopy).ok());
+  std::vector<std::uint8_t> host(kCopy);
+  std::vector<std::uint8_t> back(kCopy);
+  for (int round = 0; round < kRounds; ++round) {
+    Rng rng(0xB0C0 + round);
+    for (std::uint64_t i = 0; i < kCopy; i += 8) {
+      const std::uint64_t word = rng.Next();
+      std::memcpy(host.data() + i, &word, 8);
+    }
+    ASSERT_TRUE(lib->cudaMemcpyH2D(src, host.data(), kCopy).ok());
+    ASSERT_TRUE(lib->cudaMemcpyD2D(dst, src, kCopy).ok());
+    ASSERT_TRUE(
+        lib->cudaMemcpy(back.data(), dst, kCopy, MemcpyKind::kDeviceToHost)
+            .ok());
+    ASSERT_EQ(back, host) << "round " << round;
+  }
+  // The request ring rewound: its write index moved further than the
+  // frames alone (each round frames under kCopy + 4 KiB) could take it.
+  EXPECT_GT(request_ring->tail.load(), kRounds * (kCopy + 4096));
+  EXPECT_LT(request_ring->tail.load(),
+            (kRounds + 2) * kRing);  // and was not walked lap after lap
+  EXPECT_EQ(request_ring->frames_corrupt.load(), 0u);
+
+  // An H2D running off the partition's end is rejected, and no byte of
+  // device memory moves, inside the partition or past it.
+  const std::uint64_t oob = lib->partition_base() + lib->partition_size() -
+                            4096;
+  std::vector<std::uint8_t> before(kCopy);
+  ASSERT_TRUE(gpu_.memory().Read(oob, before.data(), kCopy).ok());
+  const std::uint64_t rejected = manager_.stats().transfers_rejected;
+  EXPECT_FALSE(lib->cudaMemcpyH2D(oob, host.data(), kCopy).ok());
+  EXPECT_EQ(manager_.stats().transfers_rejected, rejected + 1);
+  std::vector<std::uint8_t> after(kCopy);
+  ASSERT_TRUE(gpu_.memory().Read(oob, after.data(), kCopy).ok());
+  EXPECT_EQ(after, before);
+  ASSERT_TRUE(
+      lib->cudaMemcpy(back.data(), dst, kCopy, MemcpyKind::kDeviceToHost)
+          .ok());
+  EXPECT_EQ(back, host);
+  server.Stop();
+}
+
+// Fails the first kMemcpyH2D it is handed with kUnavailable, as a worker
+// death mid-call would, without delivering it; everything else reaches the
+// manager directly.
+class DropFirstH2DTransport final : public ClientTransport {
+ public:
+  explicit DropFirstH2DTransport(GrdManager* manager) : loopback_(manager) {}
+
+  Result<ipc::Bytes> Call(ipc::Parts parts) override {
+    std::uint32_t op = 0;
+    if (!parts.empty() && parts[0].size() >= sizeof(op))
+      std::memcpy(&op, parts[0].data(), sizeof(op));
+    if (!dropped &&
+        op == static_cast<std::uint32_t>(protocol::Op::kMemcpyH2D)) {
+      dropped = true;
+      return Status(Unavailable("worker died mid-call"));
+    }
+    return loopback_.Call(parts);
+  }
+
+  bool dropped = false;
+
+ private:
+  LoopbackTransport loopback_;
+};
+
+TEST_F(TransportTest, RecoveryRetrySendsTheCallersH2DBufferAgain) {
+  // The synchronous H2D sends the caller's buffer as its own part; after an
+  // attach recovery the retry re-sends the patched header with that same
+  // part, and the bytes land intact.
+  DropFirstH2DTransport transport(&manager_);
+  GrdLibOptions options;
+  options.recovery_attempts = 2;
+  options.recovery_backoff = std::chrono::microseconds(1);
+  auto lib = GrdLib::Connect(&transport, 1 << 20, options);
+  ASSERT_TRUE(lib.ok()) << lib.status();
+  constexpr std::uint64_t kBytes = 100'000;  // spans device pages
+  DevicePtr p = 0;
+  ASSERT_TRUE(lib->cudaMalloc(&p, kBytes).ok());
+  std::vector<std::uint8_t> host(kBytes);
+  for (std::uint64_t i = 0; i < kBytes; ++i)
+    host[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  ASSERT_TRUE(lib->cudaMemcpyH2D(p, host.data(), kBytes).ok());
+  EXPECT_TRUE(transport.dropped);
+  EXPECT_EQ(lib->resume_attaches(), 1u);
+  EXPECT_EQ(lib->recovery_retries(), 1u);
+  std::vector<std::uint8_t> back(kBytes);
+  ASSERT_TRUE(
+      lib->cudaMemcpy(back.data(), p, kBytes, MemcpyKind::kDeviceToHost).ok());
+  EXPECT_EQ(back, host);
 }
 
 TEST_F(TransportTest, IdleServerStopsPromptly) {
